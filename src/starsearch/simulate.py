@@ -1,7 +1,7 @@
 """Monte Carlo simulation of the star-search race.
 
 This module is the model-independent check on the closed forms: it plays the
-game turn by turn instead of summing a geometric series. Round semantics:
+game instead of evaluating the payoff formula. Round semantics:
 
 1. The pointer's correctness is drawn once per round (leaf symmetry makes the
    identity of the marked ray irrelevant).
@@ -18,6 +18,20 @@ game turn by turn instead of summing a geometric series. Round semantics:
 Choices are redrawn every turn with no memory of visited rays; that is the
 process whose payoff the closed form describes.
 
+simulate_round plays these semantics literally, turn by turn. estimate_payoff
+samples the same law without stepping turns. Turns are i.i.d., so on a
+pointer branch where the focal searcher lands with probability f and each
+other searcher with probability o:
+
+- a turn has no landing with probability s = (1 - f)(1 - o)^(n - 1);
+- the landing turn is Geometric(1 - s), and the round is capped with
+  probability s^max_turns;
+- given a landing, the focal searcher is among the arrivers with probability
+  f / (1 - s), independently of the landing turn;
+- given that it is, the number of co-arrivers is Binomial(n - 1, o).
+
+Every round therefore costs the same few draws whatever the trusts.
+
 Determinism: rounds are processed in fixed blocks of 65536, block b drawing
 from a counter-based Philox stream keyed by (seed, b), and block results are
 reduced in block order. Reports are therefore bit-identical for identical
@@ -27,13 +41,14 @@ configs no matter how blocks might be scheduled.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import GameParams, TrustProfile, _as_int, _pow1m
+from .model import GameParams, TrustProfile, _as_int
 
 __all__ = [
     "SimulationConfig",
@@ -144,56 +159,95 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _log_no_landing(focal_p: float, other_p: float, n: int) -> float:
+    """log s, where s = (1 - focal_p)(1 - other_p)^(n - 1) is the chance that
+    nobody lands in a turn; -inf when somebody lands for sure.
+
+    Built from log1p so that s^t and 1 - s stay accurate to the last bits
+    when every landing chance is tiny.
+    """
+    if focal_p >= 1.0 or other_p >= 1.0:
+        return -math.inf
+    return math.log1p(-focal_p) + (n - 1) * math.log1p(-other_p)
+
+
+def _sample_branch(
+    rng: np.random.Generator,
+    rounds: int,
+    focal_p: float,
+    other_p: float,
+    n: int,
+    max_turns: float,
+) -> tuple[float, float, float, int]:
+    """Play `rounds` rounds of one pointer branch without stepping turns.
+
+    Returns the sum of focal shares, the sum of their squares, the sum of
+    finish turns and the number of uncapped rounds. Draw order is fixed: the
+    capped count, one uniform per uncapped round for its finish turn, the
+    count of rounds the focal searcher lands in, then one co-arriver count
+    per such round.
+    """
+    if focal_p == 0.0 and other_p == 0.0:
+        # Nobody can ever land on this branch: every round is capped.
+        return 0.0, 0.0, 0.0, 0
+    log_s = _log_no_landing(focal_p, other_p, n)
+    log_capped = max_turns * log_s  # log s^max_turns
+    finished = rounds - int(rng.binomial(rounds, math.exp(log_capped)))
+    # Inverse CDF of the landing turn, Geometric(1 - s) given it is at most
+    # max_turns: the smallest t with 1 - s^t >= u (1 - s^max_turns). The
+    # arrays are updated in place because fresh block-sized temporaries cost
+    # as much as the arithmetic.
+    turns = rng.random(finished)
+    turns *= math.expm1(log_capped)
+    np.log1p(turns, out=turns)
+    turns /= log_s
+    np.clip(np.ceil(turns, out=turns), 1.0, max_turns, out=turns)
+    focal_in = rng.binomial(finished, min(focal_p / -math.expm1(log_s), 1.0))
+    share = 1.0 + rng.binomial(n - 1, other_p, size=focal_in)
+    np.reciprocal(share, out=share)
+    share_total = float(np.sum(share))
+    share *= share
+    return share_total, float(np.sum(share)), float(np.sum(turns)), finished
+
+
 def estimate_payoff(config: SimulationConfig) -> SimulationReport:
     """Estimate the focal searcher's expected share over many rounds.
 
-    Vectorized equivalent of repeating simulate_round: per block, pointer
-    correctness is drawn per round, then each surviving round draws one
-    focal uniform and one binomial count of arriving others per turn until
-    somebody lands or the turn cap strikes. Standard error is the sample
-    standard deviation over all rounds divided by sqrt(rounds).
+    Samples the law of repeated simulate_round calls at a cost per round
+    that does not depend on the trusts. Per block, the number of rounds with
+    a correct pointer is Binomial(block rounds, p). On each branch, with
+    landing chances f (focal) and o (each other) and s = (1 - f)(1 - o)^(n-1):
+    Binomial(rounds, s^max_turns) rounds are capped and score 0; each other
+    round finishes on a turn drawn from Geometric(1 - s) truncated at
+    max_turns; the focal searcher is among its arrivers with probability
+    f / (1 - s) and then shares with Binomial(n - 1, o) co-arrivers. Standard
+    error is the sample standard deviation over all rounds divided by
+    sqrt(rounds); mean_finish_turn averages the uncapped rounds.
     """
     params, profile = config.params, config.profile
-    n, p = params.n, params.p
-    r, q = profile.r, profile.q
-    r_star = (1.0 - r) / params.k
-    q_star = (1.0 - q) / params.k
     rounds = config.rounds
+    # A cap beyond the float range never binds.
+    max_turns = config.max_turns if config.max_turns <= sys.float_info.max else math.inf
 
     total = 0.0
     total_sq = 0.0
-    capped = 0
     finish_total = 0.0
     finished = 0
     n_blocks = (rounds + _BLOCK_ROUNDS - 1) // _BLOCK_ROUNDS
     for block in range(n_blocks):
         count = min(_BLOCK_ROUNDS, rounds - block * _BLOCK_ROUNDS)
         rng = _block_rng(config.seed, block)
-        correct = rng.random(count) < p
-        focal_p = np.where(correct, r, r_star)
-        other_p = np.where(correct, q, q_star)
-        share = np.zeros(count)
-        finish = np.zeros(count, dtype=np.int64)
-        # Rounds whose branch has zero landing probability can never end.
-        active = np.nonzero((focal_p > 0.0) | (other_p > 0.0))[0]
-        turn = 0
-        while active.size and turn < config.max_turns:
-            turn += 1
-            focal_in = rng.random(active.size) < focal_p[active]
-            others = rng.binomial(n - 1, other_p[active])
-            done = focal_in | (others > 0)
-            landed = active[done]
-            finish[landed] = turn
-            share[landed] = np.where(
-                focal_in[done], 1.0 / (others[done] + 1.0), 0.0
+        correct = int(rng.binomial(count, params.p))
+        for branch_rounds, is_correct in ((correct, True), (count - correct, False)):
+            focal_p, other_p = _branch_probabilities(params, profile, is_correct)
+            share, share_sq, turns, done = _sample_branch(
+                rng, branch_rounds, focal_p, other_p, params.n, max_turns
             )
-            active = active[~done]
-        capped += int(count - np.count_nonzero(finish))
-        total += float(np.sum(share))
-        total_sq += float(np.sum(share * share))
-        done_turns = finish[finish > 0]
-        finish_total += float(np.sum(done_turns))
-        finished += int(done_turns.size)
+            total += share
+            total_sq += share_sq
+            finish_total += turns
+            finished += done
+    capped = rounds - finished
 
     mean = total / rounds
     if rounds > 1:
@@ -247,35 +301,39 @@ def series_payoff(
     """Expected focal share by summing the game turn by turn.
 
     Independent route to the same number as the closed-form payoff: for each
-    pointer branch, accumulate share * survive**t term by term, where share
-    is the enumerated per-turn expected share and survive the probability
-    that nobody lands in a turn, stopping once the geometric tail bound
-    drops below tail_tol. Neither the binomial sum nor the geometric series
-    uses its closed form.
+    pointer branch, sum share * s**t over turns t = 0, 1, ..., where share
+    is the enumerated per-turn expected share and s the probability that
+    nobody lands in a turn, stopping once the remaining mass drops below
+    tail_tol. The sum runs in doubling blocks, S_2T = S_T (1 + s**T), so
+    its cost grows with log(1/(1 - s)) rather than 1/(1 - s). Neither the
+    binomial sum nor the geometric series uses its closed form.
     """
     if not tail_tol > 0.0:
         raise ValueError("tail_tol must be positive")
     q = profile.q
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie strictly inside (0, 1) for the series payoff")
-    n, k, p = params.n, params.k, params.p
-    r = profile.r
+    n, p = params.n, params.p
     total = 0.0
-    for weight, focal_p, other_p in (
-        (p, r, q),
-        (1.0 - p, (1.0 - r) / k, (1.0 - q) / k),
-    ):
+    for weight, correct in ((p, True), (1.0 - p, False)):
+        focal_p, other_p = _branch_probabilities(params, profile, correct)
         share = per_turn_share(focal_p, other_p, n)
         if share == 0.0:
             continue
-        survive = _pow1m(other_p, n - 1) * (1.0 - focal_p)
-        branch = 0.0
-        term = share
+        log_s = _log_no_landing(focal_p, other_p, n)
+        landing = -math.expm1(log_s)
+        # branch is S_T, the sum of the first T = 2**doublings terms
+        # share * s**t, and S_2T = S_T (1 + s**T). ldexp scales log s by T
+        # exactly and never overflows, so s**T reaches 0 within about 1100
+        # doublings even for subnormal trusts.
+        branch, doublings = share, 0
         while True:
-            branch += term
-            term *= survive
-            # Remaining mass is term / (1 - survive).
-            if term <= tail_tol * (1.0 - survive):
+            power = math.exp(math.ldexp(log_s, doublings))
+            # Remaining mass is share * power / (1 - s); dividing first keeps
+            # the bound from underflowing when share is subnormal.
+            if power <= tail_tol * (landing / share):
                 break
+            branch *= 1.0 + power
+            doublings += 1
         total += weight * branch
     return total

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -176,6 +178,81 @@ class TestEstimatePayoff:
         assert report.capped_rounds > 0
         assert report.rounds_completed == 2_000
 
+    def test_cap_beyond_float_range_never_binds(self):
+        params, profile = GameParams(3, 2, 0.6), TrustProfile(0.0, 0.0)
+        huge = estimate_payoff(
+            SimulationConfig(params, profile, rounds=2_000, seed=9, max_turns=10**400)
+        )
+        default = estimate_payoff(SimulationConfig(params, profile, rounds=2_000, seed=9))
+        assert huge.warning != default.warning
+        assert huge == dataclasses.replace(default, warning=huge.warning)
+
+
+    def test_long_rounds_take_bounded_time(self):
+        # Correct-pointer rounds last about 5000 turns here; the sampler's
+        # cost must not follow them.
+        params = GameParams(2, 3, 0.5)
+        profile = TrustProfile(1e-4, 1e-4)
+        start = time.perf_counter()
+        report = estimate_payoff(SimulationConfig(params, profile, rounds=10**5, seed=41))
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0
+        assert report.capped_rounds == 0
+        exact = expected_payoff(params, profile)
+        assert abs(report.focal_mean_payoff - exact) < 4 * report.focal_std_error
+
+    def test_capped_count_matches_its_law(self):
+        # A round is capped when nobody lands in max_turns turns, which on a
+        # branch with no-landing chance s happens with probability s**M.
+        n, k, p, q, r = 2, 1, 0.7, 1e-3, 2e-3
+        rounds, max_turns = 10**5, 1000
+        report = estimate_payoff(
+            SimulationConfig(
+                GameParams(n, k, p), TrustProfile(q, r), rounds=rounds, seed=43,
+                max_turns=max_turns,
+            )
+        )
+        s_right = (1 - r) * (1 - q) ** (n - 1)
+        s_wrong = (1 - (1 - r) / k) * (1 - (1 - q) / k) ** (n - 1)
+        chance = p * s_right**max_turns + (1 - p) * s_wrong**max_turns
+        expected = rounds * chance
+        spread = math.sqrt(rounds * chance * (1 - chance))
+        assert abs(report.capped_rounds - expected) < 4 * spread
+        assert report.mean_finish_turn <= max_turns
+
+
+class TestSamplerAgainstTurnByTurnOracle:
+    """estimate_payoff skips turns; simulate_round steps them. Both must
+    describe one law, so criterion 6 does not rest on the sampler alone."""
+
+    @pytest.mark.parametrize(
+        "params, profile",
+        [
+            (GameParams(4, 2, 0.6), TrustProfile(0.5, 0.6)),  # about 1.2 turns
+            (GameParams(3, 2, 0.9), TrustProfile(0.02, 0.03)),  # about 13 turns
+        ],
+    )
+    def test_payoff_and_finish_turn_agree(self, params, profile):
+        oracle_rounds, sampler_rounds = 20_000, 10**6
+        rng = np.random.default_rng(1234)
+        results = [simulate_round(params, profile, rng) for _ in range(oracle_rounds)]
+        assert all(result.finish_turn is not None for result in results)
+        payoffs = np.array([result.focal_payoff for result in results])
+        turns = np.array([result.finish_turn for result in results], dtype=float)
+        report = estimate_payoff(
+            SimulationConfig(params, profile, rounds=sampler_rounds, seed=4321)
+        )
+        assert report.capped_rounds == 0
+
+        payoff_se = math.hypot(
+            payoffs.std(ddof=1) / math.sqrt(oracle_rounds), report.focal_std_error
+        )
+        assert abs(payoffs.mean() - report.focal_mean_payoff) < 4 * payoff_se
+        # Under the shared law the finish turns of both sides have the
+        # oracle's spread.
+        turn_se = turns.std(ddof=1) * math.sqrt(1 / oracle_rounds + 1 / sampler_rounds)
+        assert abs(turns.mean() - report.mean_finish_turn) < 4 * turn_se
+
 
 class TestPerTurnShare:
     def test_binomial_sum_matches_closed_form(self):
@@ -218,6 +295,27 @@ class TestSeriesPayoff:
         params = GameParams(2, 1, 2 / 3)
         value = series_payoff(params, TrustProfile(0.5, 1.0))
         assert value == pytest.approx(0.5, abs=1e-12)
+
+    def test_tiny_trust_returns_quickly(self):
+        # About 1/(n q) turns carry the mass; summed one by one they took
+        # seconds at q = 1e-7.
+        params = GameParams(3, 2, 0.6)
+        profile = TrustProfile(1.1e-7, 0.9e-7)
+        start = time.perf_counter()
+        value = series_payoff(params, profile)
+        assert time.perf_counter() - start < 0.1
+        assert value == pytest.approx(expected_payoff(params, profile), abs=1e-10)
+
+    @pytest.mark.parametrize("trust", [1e-12, 1e-310])
+    def test_extreme_trust_is_finite(self, trust):
+        # At 1e-310 the doubling needs T beyond the float range and the
+        # per-turn share is subnormal.
+        params = GameParams(4, 3, 0.5)
+        start = time.perf_counter()
+        value = series_payoff(params, TrustProfile(trust, trust))
+        assert time.perf_counter() - start < 0.1
+        assert math.isfinite(value)
+        assert value == pytest.approx(0.25, abs=1e-12)
 
     def test_domain(self):
         params = GameParams(2, 1, 0.6)
