@@ -30,7 +30,10 @@ other searcher with probability o:
   f / (1 - s), independently of the landing turn;
 - given that it is, the number of co-arrivers is Binomial(n - 1, o).
 
-Every round therefore costs the same few draws whatever the trusts.
+Only the finish turn is drawn round by round. The capped and focal-in
+counts are single binomial draws per branch, and the co-arriver counts of
+the focal-in rounds are drawn as one multinomial tally over the counts. So
+every round costs the same one uniform whatever the trusts.
 
 Determinism: rounds are processed in fixed blocks of 65536, block b drawing
 from a counter-based Philox stream keyed by (seed, b), and block results are
@@ -171,6 +174,32 @@ def _log_no_landing(focal_p: float, other_p: float, n: int) -> float:
     return math.log1p(-focal_p) + (n - 1) * math.log1p(-other_p)
 
 
+def _coarrival_law(other_p: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The shares 1/(m + 1) and the chances of Binomial(n - 1, other_p)
+    co-arrivers m, over the counts m whose chance is not negligible.
+
+    The window is the mean +- (40 sd + 800), outside of which Bernstein's
+    inequality leaves less than e^-400 of the mass on either side, so the
+    cost stays O(sqrt(n)) at large n. Log chances relative to the window's
+    first count are a running sum of log ratios of neighbouring chances,
+    and the chances are normalised over the window.
+    """
+    others = n - 1
+    if other_p == 0.0 or other_p == 1.0:
+        m = 0.0 if other_p == 0.0 else float(others)
+        return np.array([1.0 / (1.0 + m)]), np.ones(1)
+    mean = others * other_p
+    half = 40.0 * math.sqrt(mean * (1.0 - other_p)) + 800.0
+    lo, hi = max(0, math.floor(mean - half)), min(others, math.ceil(mean + half))
+    m = np.arange(lo, hi + 1.0)
+    log_odds = math.log(other_p) - math.log1p(-other_p)
+    log_chance = np.zeros_like(m)
+    np.cumsum(np.log((others - m[:-1]) / (m[:-1] + 1.0)) + log_odds, out=log_chance[1:])
+    chance = np.exp(log_chance - log_chance.max())
+    chance /= chance.sum()
+    return 1.0 / (1.0 + m), chance
+
+
 def _sample_branch(
     rng: np.random.Generator,
     rounds: int,
@@ -178,14 +207,16 @@ def _sample_branch(
     other_p: float,
     n: int,
     max_turns: float,
+    coarrivals: tuple[np.ndarray, np.ndarray],
 ) -> tuple[float, float, float, int]:
     """Play `rounds` rounds of one pointer branch without stepping turns.
 
     Returns the sum of focal shares, the sum of their squares, the sum of
-    finish turns and the number of uncapped rounds. Draw order is fixed: the
-    capped count, one uniform per uncapped round for its finish turn, the
-    count of rounds the focal searcher lands in, then one co-arriver count
-    per such round.
+    finish turns and the number of uncapped rounds. coarrivals is
+    _coarrival_law(other_p, n). Draw order is fixed: the capped count, one
+    uniform per uncapped round for its finish turn, the count of rounds the
+    focal searcher lands in, then how many of those have each co-arriver
+    count, as one multinomial draw.
     """
     if focal_p == 0.0 and other_p == 0.0:
         # Nobody can ever land on this branch: every round is capped.
@@ -202,12 +233,15 @@ def _sample_branch(
     np.log1p(turns, out=turns)
     turns /= log_s
     np.clip(np.ceil(turns, out=turns), 1.0, max_turns, out=turns)
-    focal_in = rng.binomial(finished, min(focal_p / -math.expm1(log_s), 1.0))
-    share = 1.0 + rng.binomial(n - 1, other_p, size=focal_in)
-    np.reciprocal(share, out=share)
-    share_total = float(np.sum(share))
-    share *= share
-    return share_total, float(np.sum(share)), float(np.sum(turns)), finished
+    focal_in = int(rng.binomial(finished, min(focal_p / -math.expm1(log_s), 1.0)))
+    # Co-arriver counts of the focal-in rounds, tallied by count: their law
+    # is that of focal_in independent Binomial(n - 1, o) draws, at a cost
+    # that does not grow with the rounds.
+    shares, chances = coarrivals
+    tally = rng.multinomial(focal_in, chances).astype(float)
+    share_total = float(tally @ shares)
+    share_sq = float(tally @ (shares * shares))
+    return share_total, share_sq, float(np.sum(turns)), finished
 
 
 def estimate_payoff(config: SimulationConfig) -> SimulationReport:
@@ -220,7 +254,8 @@ def estimate_payoff(config: SimulationConfig) -> SimulationReport:
     Binomial(rounds, s^max_turns) rounds are capped and score 0; each other
     round finishes on a turn drawn from Geometric(1 - s) truncated at
     max_turns; the focal searcher is among its arrivers with probability
-    f / (1 - s) and then shares with Binomial(n - 1, o) co-arrivers. Standard
+    f / (1 - s) and then shares with Binomial(n - 1, o) co-arrivers, whose
+    counts over the focal-in rounds are drawn as one multinomial tally. Standard
     error is the sample standard deviation over all rounds divided by
     sqrt(rounds); mean_finish_turn averages the uncapped rounds.
     """
@@ -228,6 +263,11 @@ def estimate_payoff(config: SimulationConfig) -> SimulationReport:
     rounds = config.rounds
     # A cap beyond the float range never binds.
     max_turns = config.max_turns if config.max_turns <= sys.float_info.max else math.inf
+
+    branches = []
+    for is_correct in (True, False):
+        focal_p, other_p = _branch_probabilities(params, profile, is_correct)
+        branches.append((focal_p, other_p, _coarrival_law(other_p, params.n)))
 
     total = 0.0
     total_sq = 0.0
@@ -238,10 +278,11 @@ def estimate_payoff(config: SimulationConfig) -> SimulationReport:
         count = min(_BLOCK_ROUNDS, rounds - block * _BLOCK_ROUNDS)
         rng = _block_rng(config.seed, block)
         correct = int(rng.binomial(count, params.p))
-        for branch_rounds, is_correct in ((correct, True), (count - correct, False)):
-            focal_p, other_p = _branch_probabilities(params, profile, is_correct)
+        for branch_rounds, (focal_p, other_p, coarrivals) in zip(
+            (correct, count - correct), branches
+        ):
             share, share_sq, turns, done = _sample_branch(
-                rng, branch_rounds, focal_p, other_p, params.n, max_turns
+                rng, branch_rounds, focal_p, other_p, params.n, max_turns, coarrivals
             )
             total += share
             total_sq += share_sq

@@ -17,6 +17,7 @@ from starsearch import (
     simulate_round,
 )
 from starsearch.model import _pow1m
+from starsearch.simulate import _coarrival_law
 
 
 def first_uniform(seed):
@@ -219,6 +220,40 @@ class TestEstimatePayoff:
         spread = math.sqrt(rounds * chance * (1 - chance))
         assert abs(report.capped_rounds - expected) < 4 * spread
         assert report.mean_finish_turn <= max_turns
+
+    @pytest.mark.parametrize(
+        "n, other_p", [(2, 0.3), (7, 0.05), (7, 0.95), (40, 0.5), (40, 1e-9)]
+    )
+    def test_coarrival_law_is_the_binomial(self, n, other_p):
+        shares, chances = _coarrival_law(other_p, n)
+        counts = [round(1 / share) - 1 for share in shares]
+        assert counts == list(range(n))
+        exact = [
+            math.comb(n - 1, m) * other_p**m * (1 - other_p) ** (n - 1 - m)
+            for m in counts
+        ]
+        assert chances == pytest.approx(exact, rel=1e-12, abs=1e-300)
+
+    def test_coarrival_law_window_at_large_n(self):
+        # Only the counts within 40 sd + 800 of the mean are kept; the mass
+        # beyond them is below e^-400.
+        n, other_p = 10**6, 0.3
+        shares, chances = _coarrival_law(other_p, n)
+        counts = 1 / shares - 1
+        mean = (n - 1) * other_p
+        assert len(chances) < 50_000
+        assert counts[0] > 0 and counts[-1] < n - 1
+        assert chances.sum() == pytest.approx(1.0, rel=1e-14)
+        assert chances @ counts == pytest.approx(mean, rel=1e-12)
+        variance = chances @ (counts - mean) ** 2
+        assert variance == pytest.approx(mean * (1 - other_p), rel=1e-9)
+
+    def test_large_population_matches_closed_form(self):
+        params, profile = GameParams(10**5, 2, 0.6), TrustProfile(0.3, 0.35)
+        report = estimate_payoff(SimulationConfig(params, profile, rounds=10**5, seed=47))
+        exact = expected_payoff(params, profile)
+        assert report.capped_rounds == 0
+        assert abs(report.focal_mean_payoff - exact) < 4 * report.focal_std_error
 
 
 class TestSamplerAgainstTurnByTurnOracle:
