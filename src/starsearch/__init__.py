@@ -9,7 +9,6 @@ turn-by-turn series and Monte Carlo play.
 """
 
 from .equilibrium import (
-    BRACKET_MARGIN,
     CurveSamples,
     EquilibriumSolution,
     SolverError,
@@ -20,13 +19,11 @@ from .equilibrium import (
     sweep_n,
 )
 from .model import (
-    DerivedProbabilities,
     GameParams,
     TrustProfile,
     equilibrium_residual,
     expected_payoff,
     expected_payoff_large_n,
-    off_ray_probability,
     reliability_from_trust,
     single_searcher_optimal_trust,
     trust_decrease_threshold,
@@ -53,11 +50,9 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BRACKET_MARGIN",
     "BestResponseScan",
     "CurveSamples",
     "DEFAULT_MAX_TURNS",
-    "DerivedProbabilities",
     "EquilibriumCheck",
     "EquilibriumSolution",
     "GameParams",
@@ -74,7 +69,6 @@ __all__ = [
     "estimate_payoff",
     "expected_payoff",
     "expected_payoff_large_n",
-    "off_ray_probability",
     "per_turn_share",
     "reliability_curve",
     "reliability_from_trust",

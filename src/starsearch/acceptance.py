@@ -16,6 +16,7 @@ is not the normative configuration.
 from __future__ import annotations
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -300,10 +301,15 @@ def criterion_9(quick: bool = False) -> CriterionResult:
 
 
 def _cli_bytes(args: list[str]) -> bytes:
+    # The child runs this package's CLI, whether or not it is on the inherited
+    # PYTHONPATH (as under pytest's pythonpath setting).
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = (package_root, os.environ.get("PYTHONPATH"))
     proc = subprocess.run(
         [sys.executable, "-m", "starsearch", *args],
         capture_output=True,
         check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     return proc.stdout
 

@@ -14,7 +14,6 @@ import sys
 
 import numpy as np
 
-from .acceptance import run_all
 from .equilibrium import (
     SolverError,
     reliability_curve,
@@ -93,8 +92,8 @@ def _cmd_curve_f(args) -> int:
 
 
 def _cmd_sweep_n(args) -> int:
-    if args.n_from < 2:
-        raise ValueError("n must be at least 2")
+    # Name a bad argument before building the grid from it.
+    GameParams(args.n_from, args.k, args.p)
     if args.n_to < args.n_from:
         raise ValueError("--n-to must not be below --n-from")
     if args.log:
@@ -110,8 +109,6 @@ def _cmd_sweep_n(args) -> int:
 
 
 def _cmd_sweep_k(args) -> int:
-    if args.k_from < 1:
-        raise ValueError("k must be at least 1")
     if args.k_to < args.k_from:
         raise ValueError("--k-to must not be below --k-from")
     _print_curve(sweep_k(args.n, args.p, range(args.k_from, args.k_to + 1)))
@@ -157,6 +154,9 @@ def _cmd_best_response(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # Imported here: no other subcommand needs the acceptance suite.
+    from .acceptance import run_all
+
     results = run_all(quick=args.quick)
     for result in results:
         status = "PASS" if result.passed else "FAIL"

@@ -11,7 +11,6 @@ equilibrium-trust sweeps in the population size and the ray count.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ from .model import (
     GameParams,
     _as_int,
     _as_probability,
-    _pow1m,
+    _reliability_excess,
     equilibrium_residual,
     reliability_from_trust,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "EquilibriumSolution",
     "CurveSamples",
     "SolverError",
-    "BRACKET_MARGIN",
     "solve_equilibrium",
     "residual_curve",
     "reliability_curve",
@@ -38,7 +36,7 @@ __all__ = [
 
 # Offset of the bisection bracket from the open-interval endpoints, where the
 # reliability map only attains its limits.
-BRACKET_MARGIN = 1e-9
+_BRACKET_MARGIN = 1e-9
 
 
 class SolverError(RuntimeError):
@@ -81,25 +79,6 @@ class CurveSamples:
         return tuple(y for _, y in self.points)
 
 
-def _reliability_excess(n: int, k: int, p: float, q: float) -> float:
-    """Numerator of reliability_from_trust(n, k, q) - p, cancellation-free.
-
-    Same sign and root as the direct difference, but built from the
-    complement products alpha = 1 - A and beta = 1 - B as sums of positive
-    terms, so the sign stays trustworthy even where the direct form rounds
-    to q - p because A and B are within an ulp of 1. That keeps the bracket
-    honest for populations where the equilibrium gap underflows.
-    """
-    q_star = (1.0 - q) / k
-    a = _pow1m(q_star, n)
-    a1 = _pow1m(q_star, n - 1)
-    b = _pow1m(q, n)
-    b1 = _pow1m(q, n - 1)
-    alpha = a + b1 * (1.0 - a)
-    beta = b + a1 * (1.0 - b)
-    return (q - p) + p * (1.0 - q) * alpha - q * (1.0 - p) * beta
-
-
 def solve_equilibrium(
     params: GameParams, q_tol: float = 1e-12, max_iter: int = 200
 ) -> EquilibriumSolution:
@@ -122,12 +101,10 @@ def solve_equilibrium(
     """
     if not q_tol > 0.0:
         raise ValueError("q_tol must be positive")
-    max_iter = _as_int(max_iter, "max_iter")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    max_iter = _as_int(max_iter, "max_iter", 1)
     n, k, p = params.n, params.k, params.p
-    lo = 1.0 / (k + 1) + BRACKET_MARGIN
-    hi = 1.0 - BRACKET_MARGIN
+    lo = 1.0 / (k + 1) + _BRACKET_MARGIN
+    hi = 1.0 - _BRACKET_MARGIN
     f_lo = _reliability_excess(n, k, p, lo)
     f_hi = _reliability_excess(n, k, p, hi)
     if not (f_lo < 0.0 < f_hi):
@@ -178,11 +155,9 @@ def residual_curve(
     """Equilibrium residual sampled on a uniform trust grid (endpoints included)."""
     q_lo = _as_probability(q_lo, "q_lo")
     q_hi = _as_probability(q_hi, "q_hi")
-    steps = _as_int(steps, "steps")
+    steps = _as_int(steps, "steps", 2)
     if not 0.0 <= q_lo < q_hi <= 1.0:
         raise ValueError("need 0 <= q_lo < q_hi <= 1")
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
     points = tuple(
         (q, equilibrium_residual(params, q)) for q in _uniform_grid(q_lo, q_hi, steps)
     )
@@ -193,15 +168,13 @@ def reliability_curve(
     n: int, k: int, q_lo: float, q_hi: float, steps: int
 ) -> CurveSamples:
     """Reliability map sampled on a uniform trust grid inside its open domain."""
-    n = _as_int(n, "n")
-    k = _as_int(k, "k")
+    n = _as_int(n, "n", 2)
+    k = _as_int(k, "k", 1)
     q_lo = _as_probability(q_lo, "q_lo")
     q_hi = _as_probability(q_hi, "q_hi")
-    steps = _as_int(steps, "steps")
+    steps = _as_int(steps, "steps", 2)
     if not 1.0 / (k + 1) < q_lo < q_hi < 1.0:
         raise ValueError("need 1/(k+1) < q_lo < q_hi < 1")
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
     points = tuple(
         (q, reliability_from_trust(n, k, q)) for q in _uniform_grid(q_lo, q_hi, steps)
     )
@@ -209,7 +182,7 @@ def reliability_curve(
 
 
 def _sorted_unique(values: Iterable[int], name: str) -> list[int]:
-    out = sorted(operator.index(v) for v in values)
+    out = sorted(_as_int(v, name) for v in values)
     if not out:
         raise ValueError(f"{name} must not be empty")
     if any(b == a for a, b in zip(out, out[1:])):

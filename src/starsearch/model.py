@@ -20,7 +20,10 @@ simulator and verifier build on: the focal searcher's expected share, its
 large-population limit, the equilibrium residual, the monotone map from
 equilibrium trust back to pointer reliability, the population size past which
 equilibrium trust starts falling, and the optimal trust of a lone searcher
-used as a baseline. All functions are pure and safe to call concurrently.
+used as a baseline. Each closed form takes its powers (1 - x)^n and their
+complements from one exp/log1p kernel, so all of them keep full double
+accuracy at trusts near 0 or 1 and at any n. All functions are pure and
+safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ from dataclasses import dataclass
 __all__ = [
     "GameParams",
     "TrustProfile",
-    "DerivedProbabilities",
-    "off_ray_probability",
     "expected_payoff",
     "expected_payoff_large_n",
     "equilibrium_residual",
@@ -42,17 +43,15 @@ __all__ = [
     "single_searcher_optimal_trust",
 ]
 
-# Above this exponent, repeated squaring of 1 - x accumulates more rounding
-# than the exp/log1p route; below it, squaring avoids the transcendental
-# calls entirely.
-_SQUARING_LIMIT = 1024
 
-
-def _as_int(value, name: str) -> int:
+def _as_int(value, name: str, least: int | None = None) -> int:
     try:
-        return operator.index(value)
+        x = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer") from None
+    if least is not None and x < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return x
 
 
 def _as_probability(value, name: str) -> float:
@@ -62,41 +61,42 @@ def _as_probability(value, name: str) -> float:
     return x
 
 
-def _pow1m(x: float, n: int) -> float:
-    """(1 - x) ** n without drift for huge n or tiny x.
-
-    Exponentiation by squaring up to n = 1024, exp(n * log1p(-x)) beyond,
-    so (1 - q) ** n stays accurate for population sizes up to 10**6.
-    """
-    if n > _SQUARING_LIMIT:
-        if x >= 1.0:
-            return 0.0
-        return math.exp(n * math.log1p(-x))
-    result = 1.0
-    base = 1.0 - x
-    e = n
-    while e:
-        if e & 1:
-            result *= base
-        base *= base
-        e >>= 1
-    return result
-
-
-def off_ray_probability(x: float, k: int) -> float:
-    """Chance (1 - x) / k of walking down one specific unmarked ray.
-
-    ``x`` is the trust put in the pointer; the complement is spread uniformly
-    over the k remaining rays. This is also the per-turn success probability
-    of a searcher with trust ``x`` when the pointer is wrong.
-    """
-    k = _as_int(k, "k")
-    x = _as_probability(x, "x")
-    if k < 1:
-        raise ValueError("k must be at least 1")
+def _as_unit(value, name: str) -> float:
+    x = _as_probability(value, name)
     if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
-    return (1.0 - x) / k
+        raise ValueError(f"{name} must lie in [0, 1]")
+    return x
+
+
+def _as_reliability(value, k: int) -> float:
+    """p for a valid ray count k, checked to lie strictly inside (1/(k+1), 1)."""
+    p = _as_probability(value, "p")
+    if p <= 1.0 / (k + 1):
+        raise ValueError("p must exceed 1/(k+1)")
+    if p >= 1.0:
+        raise ValueError("p must be strictly less than 1")
+    return p
+
+
+def _require_interior_q(q: float) -> None:
+    if not 0.0 < q < 1.0:
+        raise ValueError("q must lie strictly inside (0, 1)")
+
+
+def _powers(x: float, n: int) -> tuple[float, float, float, float]:
+    """(1-x)^n, (1-x)^(n-1) and their complements 1-(1-x)^n, 1-(1-x)^(n-1).
+
+    One log1p serves all four, on one route for any n >= 2, and they stay
+    accurate for x near 0 or 1. The complements come from expm1, and
+    1-(1-x)^n is built as (1-(1-x)^(n-1)) + x(1-x)^(n-1), a sum of
+    nonnegative terms, so no term loses digits to cancellation.
+    """
+    if x >= 1.0:
+        return 0.0, 0.0, 1.0, 1.0
+    log_power = (n - 1) * math.log1p(-x)
+    power1 = math.exp(log_power)
+    complement1 = -math.expm1(log_power)
+    return power1 * (1.0 - x), power1, complement1 + x * power1, complement1
 
 
 @dataclass(frozen=True)
@@ -114,22 +114,9 @@ class GameParams:
     p: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _as_int(self.n, "n"))
-        object.__setattr__(self, "k", _as_int(self.k, "k"))
-        object.__setattr__(self, "p", _as_probability(self.p, "p"))
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if self.p <= 1.0 / (self.k + 1):
-            raise ValueError("p must exceed 1/(k+1)")
-        if self.p >= 1.0:
-            raise ValueError("p must be strictly less than 1")
-
-    @property
-    def p_star(self) -> float:
-        """Per-ray probability the pointer marks one specific wrong ray."""
-        return off_ray_probability(self.p, self.k)
+        object.__setattr__(self, "n", _as_int(self.n, "n", 2))
+        object.__setattr__(self, "k", _as_int(self.k, "k", 1))
+        object.__setattr__(self, "p", _as_reliability(self.p, self.k))
 
 
 @dataclass(frozen=True)
@@ -140,35 +127,28 @@ class TrustProfile:
     r: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "q", _as_probability(self.q, "q"))
-        object.__setattr__(self, "r", _as_probability(self.r, "r"))
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError("q must lie in [0, 1]")
-        if not 0.0 <= self.r <= 1.0:
-            raise ValueError("r must lie in [0, 1]")
+        object.__setattr__(self, "q", _as_unit(self.q, "q"))
+        object.__setattr__(self, "r", _as_unit(self.r, "r"))
 
 
-@dataclass(frozen=True)
-class DerivedProbabilities:
-    """The three per-ray complements (1 - x) / k for x in (p, q, r)."""
+def _branch_payoff(n: int, x: float, y):
+    """One pointer branch of the payoff: focal trust-rate y against others' x.
 
-    p_star: float
-    q_star: float
-    r_star: float
-
-    @classmethod
-    def of(cls, params: GameParams, profile: TrustProfile) -> "DerivedProbabilities":
-        k = params.k
-        return cls(
-            p_star=off_ray_probability(params.p, k),
-            q_star=off_ray_probability(profile.q, k),
-            r_star=off_ray_probability(profile.r, k),
-        )
+    The per-turn share y (1-(1-x)^n) / (n x) summed over the turns in which
+    nobody has landed, whose chance per turn is (1-x)^(n-1) (1-y); the
+    series' denominator 1 - (1-x)^(n-1) (1-y) is written as the positive sum
+    y + (1-y)(1-(1-x)^(n-1)). Only arithmetic operators touch y, so y may
+    be a numpy array.
+    """
+    _, _, complement, complement1 = _powers(x, n)
+    return y * complement / (n * x) / (y + (1.0 - y) * complement1)
 
 
-def _require_interior_q(q: float) -> None:
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie strictly inside (0, 1) for the closed-form payoff")
+def _payoff(n: int, k: int, p: float, q: float, r):
+    """expected_payoff without validation; r may be a numpy array."""
+    right = _branch_payoff(n, q, r)
+    wrong = _branch_payoff(n, (1.0 - q) / k, (1.0 - r) / k)
+    return p * right + (1.0 - p) * wrong
 
 
 def expected_payoff(params: GameParams, profile: TrustProfile) -> float:
@@ -182,18 +162,8 @@ def expected_payoff(params: GameParams, profile: TrustProfile) -> float:
     profile r = q is deliberately not special-cased; it must come out as
     1/n from the arithmetic alone.
     """
-    n, k, p = params.n, params.k, params.p
-    q, r = profile.q, profile.r
-    _require_interior_q(q)
-    q_star = (1.0 - q) / k
-    r_star = (1.0 - r) / k
-    right = p * (r * (1.0 - _pow1m(q, n)) / (n * q)) / (
-        1.0 - _pow1m(q, n - 1) * (1.0 - r)
-    )
-    wrong = (1.0 - p) * (r_star * (1.0 - _pow1m(q_star, n)) / (n * q_star)) / (
-        1.0 - _pow1m(q_star, n - 1) * (1.0 - r_star)
-    )
-    return right + wrong
+    _require_interior_q(profile.q)
+    return _payoff(params.n, params.k, params.p, profile.q, profile.r)
 
 
 def expected_payoff_large_n(params: GameParams, profile: TrustProfile) -> float:
@@ -216,13 +186,13 @@ def equilibrium_residual(params: GameParams, q: float) -> float:
     why the solver brackets on the monotone reliability map instead.
     """
     n, k, p = params.n, params.k, params.p
-    q = _as_probability(q, "q")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must lie in [0, 1]")
+    q = _as_unit(q, "q")
     p_star = (1.0 - p) / k
     q_star = (1.0 - q) / k
-    return p * q_star * (1.0 - _pow1m(q_star, n)) * (1.0 - _pow1m(q, n - 1)) - (
-        p_star * q * (1.0 - _pow1m(q, n)) * (1.0 - _pow1m(q_star, n - 1))
+    _, _, a_complement, a1_complement = _powers(q_star, n)
+    _, _, b_complement, b1_complement = _powers(q, n)
+    return p * q_star * a_complement * b1_complement - (
+        p_star * q * b_complement * a1_complement
     )
 
 
@@ -234,19 +204,33 @@ def reliability_from_trust(n: int, k: int, q: float) -> float:
     Only the open interval is accepted; the endpoint values are limits, not
     function values.
     """
-    n = _as_int(n, "n")
-    k = _as_int(k, "k")
+    n = _as_int(n, "n", 2)
+    k = _as_int(k, "k", 1)
     q = _as_probability(q, "q")
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if k < 1:
-        raise ValueError("k must be at least 1")
     if not 1.0 / (k + 1) < q < 1.0:
         raise ValueError("q must lie strictly inside (1/(k+1), 1)")
     q_star = (1.0 - q) / k
-    own = q * (1.0 - _pow1m(q, n)) * (1.0 - _pow1m(q_star, n - 1))
-    other = (1.0 - q) * (1.0 - _pow1m(q_star, n)) * (1.0 - _pow1m(q, n - 1))
+    _, _, a_complement, a1_complement = _powers(q_star, n)
+    _, _, b_complement, b1_complement = _powers(q, n)
+    own = q * b_complement * a1_complement
+    other = (1.0 - q) * a_complement * b1_complement
     return own / (own + other)
+
+
+def _reliability_excess(n: int, k: int, p: float, q: float) -> float:
+    """Numerator of reliability_from_trust(n, k, q) - p, cancellation-free.
+
+    Same sign and root as the direct difference, but built from the
+    complement products alpha = 1 - A and beta = 1 - B as sums of positive
+    terms, so the sign stays trustworthy even where the direct form rounds
+    to q - p because A and B are within an ulp of 1. That keeps the bracket
+    honest for populations where the equilibrium gap underflows.
+    """
+    a, a1, a_complement, _ = _powers((1.0 - q) / k, n)
+    b, b1, b_complement, _ = _powers(q, n)
+    alpha = a + b1 * a_complement
+    beta = b + a1 * b_complement
+    return (q - p) + p * (1.0 - q) * alpha - q * (1.0 - p) * beta
 
 
 def trust_decrease_threshold(p: float, k: int) -> float:
@@ -256,14 +240,8 @@ def trust_decrease_threshold(p: float, k: int) -> float:
     diverging as p approaches the 1/(k+1) signal floor. Below the threshold
     trust may move either way with n.
     """
-    k = _as_int(k, "k")
-    p = _as_probability(p, "p")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if p <= 1.0 / (k + 1):
-        raise ValueError("p must exceed 1/(k+1)")
-    if p >= 1.0:
-        raise ValueError("p must be strictly less than 1")
+    k = _as_int(k, "k", 1)
+    p = _as_reliability(p, k)
     if k == 1:
         return 3.0
     return 3.0 + 2.0 * math.log(k) / math.log((k - 1.0 + p) / (k * (1.0 - p)))
@@ -276,14 +254,8 @@ def single_searcher_optimal_trust(p: float, k: int) -> float:
     (1 - (k+1)(1-p)), decreasing in k, undefined where the denominator
     vanishes at p = k/(k+1).
     """
-    k = _as_int(k, "k")
-    p = _as_probability(p, "p")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if p <= 1.0 / (k + 1):
-        raise ValueError("p must exceed 1/(k+1)")
-    if p >= 1.0:
-        raise ValueError("p must be strictly less than 1")
+    k = _as_int(k, "k", 1)
+    p = _as_reliability(p, k)
     denominator = 1.0 - (k + 1) * (1.0 - p)
     if denominator == 0.0:
         raise ValueError("p must not equal k/(k+1); the baseline is undefined there")

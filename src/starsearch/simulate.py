@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import GameParams, TrustProfile, _as_int
+from .model import GameParams, TrustProfile, _as_int, _require_interior_q
 
 __all__ = [
     "SimulationConfig",
@@ -79,13 +79,9 @@ class SimulationConfig:
     max_turns: int = DEFAULT_MAX_TURNS
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rounds", _as_int(self.rounds, "rounds"))
+        object.__setattr__(self, "rounds", _as_int(self.rounds, "rounds", 1))
         object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
-        object.__setattr__(self, "max_turns", _as_int(self.max_turns, "max_turns"))
-        if self.rounds < 1:
-            raise ValueError("rounds must be at least 1")
-        if self.max_turns < 1:
-            raise ValueError("max_turns must be at least 1")
+        object.__setattr__(self, "max_turns", _as_int(self.max_turns, "max_turns", 1))
         if not 0 <= self.seed < _SEED_LIMIT:
             raise ValueError("seed must be an unsigned 64-bit integer")
 
@@ -320,20 +316,32 @@ def per_turn_share(focal_p: float, other_p: float, n: int) -> float:
     Direct enumeration over the number m of co-arriving others: the focal
     searcher lands with probability focal_p and takes 1/(m+1). Kept as an
     explicit binomial sum on purpose; the closed form it must agree with is
-    focal_p * (1 - (1 - other_p)**n) / (n * other_p).
+    focal_p * (1 - (1 - other_p)**n) / (n * other_p). The Binomial(n - 1,
+    other_p) chances are taken relative to the chance of m = floor((n - 1)
+    other_p), within one count of the most likely m, and stepped outward by
+    the ratios of neighbouring chances until they underflow; the sum is
+    divided by the mass they cover. So no term overflows at any n, and the
+    cost grows like sqrt(n).
     """
-    n = _as_int(n, "n")
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    total = 0.0
-    for m in range(n):
-        total += (
-            math.comb(n - 1, m)
-            * other_p**m
-            * (1.0 - other_p) ** (n - 1 - m)
-            / (m + 1)
-        )
-    return focal_p * total
+    others = _as_int(n, "n", 2) - 1
+    miss = 1.0 - other_p
+    anchor = math.floor(others * other_p)
+    mass = chance = 1.0
+    total = 1.0 / (anchor + 1)
+    for m in range(anchor, others):  # chance of m + 1 from that of m
+        chance *= (others - m) * other_p / ((m + 1) * miss)
+        if chance == 0.0:
+            break
+        mass += chance
+        total += chance / (m + 2)
+    chance = 1.0
+    for m in range(anchor, 0, -1):  # chance of m - 1 from that of m
+        chance *= m * miss / ((others - m + 1) * other_p)
+        if chance == 0.0:
+            break
+        mass += chance
+        total += chance / m
+    return focal_p * total / mass
 
 
 def series_payoff(
@@ -351,9 +359,7 @@ def series_payoff(
     """
     if not tail_tol > 0.0:
         raise ValueError("tail_tol must be positive")
-    q = profile.q
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie strictly inside (0, 1) for the series payoff")
+    _require_interior_q(profile.q)
     n, p = params.n, params.p
     total = 0.0
     for weight, correct in ((p, True), (1.0 - p, False)):

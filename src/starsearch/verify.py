@@ -14,12 +14,13 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .equilibrium import EquilibriumSolution, solve_equilibrium
+from .equilibrium import EquilibriumSolution, _sorted_unique, solve_equilibrium
 from .model import (
     GameParams,
     _as_int,
     _as_probability,
-    _pow1m,
+    _payoff,
+    _require_interior_q,
     trust_decrease_threshold,
 )
 
@@ -99,25 +100,14 @@ def best_response_scan(
     The payoff is continuous in the deviation trust r including both
     endpoints, so the full closed interval is scanned. Grid points whose
     payoff sits within a few ulps of the maximum are treated as tied and the
-    middle of the tying range is reported (see _TIE_ULPS).
+    middle of the tying range is reported (see _TIE_ULPS). Every grid value
+    is the one expected_payoff gives at that r, to the bit.
     """
     q = _as_probability(q, "q")
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie strictly inside (0, 1) for the closed-form payoff")
-    r_steps = _as_int(r_steps, "r_steps")
-    if r_steps < 2:
-        raise ValueError("r_steps must be at least 2")
-    n, k, p = params.n, params.k, params.p
-    q_star = (1.0 - q) / k
-    b = _pow1m(q, n)
-    b1 = _pow1m(q, n - 1)
-    a = _pow1m(q_star, n)
-    a1 = _pow1m(q_star, n - 1)
+    _require_interior_q(q)
+    r_steps = _as_int(r_steps, "r_steps", 2)
     r = np.linspace(0.0, 1.0, r_steps)
-    r_star = (1.0 - r) / k
-    payoff = p * (r * (1.0 - b) / (n * q)) / (1.0 - b1 * (1.0 - r)) + (1.0 - p) * (
-        r_star * (1.0 - a) / (n * q_star)
-    ) / (1.0 - a1 * (1.0 - r_star))
+    payoff = _payoff(params.n, params.k, params.p, q, r)
     peak = float(payoff.max())
     tie_tol = _TIE_ULPS * np.finfo(float).eps * abs(peak)
     tied = np.nonzero(payoff >= peak - tie_tol)[0]
@@ -177,11 +167,7 @@ def check_probability_matching(
     resolved); and the final gap must fall below tol_fn(max n), which
     defaults to a flat 1e-3.
     """
-    ns = sorted(_as_int(n, "n") for n in n_values)
-    if not ns:
-        raise ValueError("n_values must not be empty")
-    if any(b == a for a, b in zip(ns, ns[1:])):
-        raise ValueError("n_values must not contain duplicates")
+    ns = _sorted_unique(n_values, "n_values")
     threshold = trust_decrease_threshold(p, k)
     gaps = tuple(solve_equilibrium(GameParams(n, k, p)).q_bar - p for n in ns)
     decreasing = all(

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -207,7 +211,7 @@ class TestVerify:
             CriterionResult(1, "alpha", True, "fine", 0.0),
             CriterionResult(2, "beta", True, "fine", 0.0),
         ]
-        monkeypatch.setattr("starsearch.cli.run_all", lambda quick: fake)
+        monkeypatch.setattr("starsearch.acceptance.run_all", lambda quick: fake)
         code, out, _ = run_cli(capsys, "verify")
         assert code == 0
         assert out.count("PASS") == 2
@@ -216,3 +220,15 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--quick")
         assert code == 1
         assert "FAIL" in out
+
+
+def test_import_leaves_acceptance_unloaded():
+    # In a fresh interpreter: other tests import starsearch.acceptance.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, starsearch.cli; print('starsearch.acceptance' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"

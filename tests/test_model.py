@@ -1,23 +1,22 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starsearch import (
-    DerivedProbabilities,
     GameParams,
     TrustProfile,
     equilibrium_residual,
     expected_payoff,
     expected_payoff_large_n,
-    off_ray_probability,
     reliability_from_trust,
     single_searcher_optimal_trust,
     solve_equilibrium,
     trust_decrease_threshold,
 )
-from starsearch.model import _pow1m
+from starsearch.model import _powers
 
 # Strategies for valid game parameters: p drawn inside (1/(k+1), 1) with a
 # margin so hypothesis shrinking cannot land on the open boundary.
@@ -35,7 +34,6 @@ class TestGameParams:
     def test_valid_instance(self):
         params = GameParams(5, 3, 0.5)
         assert (params.n, params.k, params.p) == (5, 3, 0.5)
-        assert params.p_star == pytest.approx((1 - 0.5) / 3)
 
     def test_n_below_two_rejected(self):
         with pytest.raises(ValueError, match="n must be at least 2"):
@@ -72,61 +70,66 @@ class TestTrustProfile:
             TrustProfile(0.5, 1.1)
 
 
-class TestOffRayProbability:
-    def test_full_trust_gives_zero(self):
-        assert off_ray_probability(1.0, 3) == 0.0
-
-    def test_half_trust_single_ray(self):
-        assert off_ray_probability(0.5, 1) == 0.5
-
-    def test_direct_evaluation(self):
-        assert off_ray_probability(0.7, 3) == pytest.approx(0.1, rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            off_ray_probability(1.5, 3)
-        with pytest.raises(ValueError):
-            off_ray_probability(0.5, 0)
-
-    @given(x=st.floats(min_value=0.0, max_value=1.0), k=valid_k)
-    def test_complement_identity(self, x, k):
-        star = off_ray_probability(x, k)
-        assert 0.0 <= star <= 1.0 / k
-        assert x + k * star == pytest.approx(1.0, abs=1e-12)
-
-    def test_derived_probabilities_bundle(self):
-        bundle = DerivedProbabilities.of(GameParams(5, 3, 0.7), TrustProfile(0.4, 0.9))
-        assert bundle.p_star == pytest.approx(0.1, rel=1e-12)
-        assert bundle.q_star == pytest.approx(0.2, rel=1e-12)
-        assert bundle.r_star == pytest.approx(0.1 / 3, rel=1e-12)
-
-
 class TestPowOneMinus:
     def test_small_exponent_matches_pow(self):
-        assert _pow1m(0.3, 5) == pytest.approx(0.7**5, rel=1e-14)
+        assert _powers(0.3, 5)[0] == pytest.approx(0.7**5, rel=1e-14)
 
     @pytest.mark.parametrize("x,n", [(0.3, 800), (0.3, 1500), (1e-7, 5000), (0.97, 2000)])
     def test_matches_exact_rational_power(self, x, n):
-        # Exact oracle: the stored double for 1 - x raised to n in rational
-        # arithmetic, rounded back to float at the end.
-        from fractions import Fraction
-
-        exact = float(Fraction(1.0 - x) ** n)
+        # Exact oracle: 1 - x for the stored double x, raised to n in
+        # rational arithmetic and rounded back to float at the end.
+        exact = float((1 - Fraction(x)) ** n)
         if exact > 0.0:
-            assert _pow1m(x, n) == pytest.approx(exact, rel=1e-11)
+            assert _powers(x, n)[0] == pytest.approx(exact, rel=1e-11)
         else:
-            assert _pow1m(x, n) == 0.0
+            assert _powers(x, n)[0] == 0.0
+
+    @pytest.mark.parametrize("n", [1024, 1025])
+    def test_powers_match_exact_rationals_at_1024_and_1025(self, n):
+        # One route for every n, so no seam in accuracy between these two.
+        x = 0.3
+        power, power1, _, _ = _powers(x, n)
+        for value, m in ((power, n), (power1, n - 1)):
+            exact = (1 - Fraction(x)) ** m
+            assert abs(Fraction(value) - exact) <= Fraction(4e-14) * exact
+
+    def test_complements_of_a_tiny_rate(self):
+        # 1 - (1 - x)^m cancels catastrophically if formed directly.
+        x, n = 1e-13, 5
+        _, _, complement, complement1 = _powers(x, n)
+        for value, m in ((complement, n), (complement1, n - 1)):
+            exact = 1 - (1 - Fraction(x)) ** m
+            assert abs(Fraction(value) - exact) <= Fraction(1e-15) * exact
 
     def test_tiny_rate_large_exponent(self):
         # (1 - 1e-7) ** 10**6 tracks exp(-0.1) to the second-order term.
-        assert _pow1m(1e-7, 10**6) == pytest.approx(math.exp(-0.1), rel=1e-6)
-        assert _pow1m(1e-7, 10**6) < math.exp(-0.1)
+        assert _powers(1e-7, 10**6)[0] == pytest.approx(math.exp(-0.1), rel=1e-6)
+        assert _powers(1e-7, 10**6)[0] < math.exp(-0.1)
 
     def test_edge_cases(self):
-        assert _pow1m(0.0, 10**6) == 1.0
-        assert _pow1m(1.0, 7) == 0.0
-        assert _pow1m(1.0, 10**6) == 0.0
-        assert _pow1m(0.5, 0) == 1.0
+        assert _powers(0.0, 10**6) == (1.0, 1.0, 0.0, 0.0)
+        assert _powers(1.0, 7) == (0.0, 0.0, 1.0, 1.0)
+        assert _powers(1.0, 10**6) == (0.0, 0.0, 1.0, 1.0)
+        assert _powers(0.5, 2) == (0.25, 0.5, 0.75, 0.5)
+
+
+def exact_payoff(n, k, p, q, r):
+    """expected_payoff's formula in rational arithmetic from the given doubles."""
+    p, q, r = Fraction(p), Fraction(q), Fraction(r)
+
+    def branch(x, y):
+        return y * (1 - (1 - x) ** n) / (n * x) / (1 - (1 - x) ** (n - 1) * (1 - y))
+
+    return p * branch(q, r) + (1 - p) * branch((1 - q) / k, (1 - r) / k)
+
+
+def exact_residual(n, k, p, q):
+    """equilibrium_residual's formula in rational arithmetic from the given doubles."""
+    p, q = Fraction(p), Fraction(q)
+    p_star, q_star = (1 - p) / k, (1 - q) / k
+    return p * q_star * (1 - (1 - q_star) ** n) * (1 - (1 - q) ** (n - 1)) - (
+        p_star * q * (1 - (1 - q) ** n) * (1 - (1 - q_star) ** (n - 1))
+    )
 
 
 class TestExpectedPayoff:
@@ -148,6 +151,20 @@ class TestExpectedPayoff:
         assert expected_payoff(params, profile) == pytest.approx(
             series_payoff(params, profile), abs=1e-10
         )
+
+    @pytest.mark.parametrize(
+        "n,k,p,q,r",
+        [
+            (3, 2, 0.6, 1e-12, 0.5),
+            (5, 3, 0.5, 1e-13, 1e-12),
+            (5, 3, 0.5, 1 - 1e-13, 1 - 3e-13),
+            (40, 7, 0.7, 1e-9, 0.3),
+        ],
+    )
+    def test_matches_exact_rationals_at_extreme_trusts(self, n, k, p, q, r):
+        exact = exact_payoff(n, k, p, q, r)
+        value = expected_payoff(GameParams(n, k, p), TrustProfile(q, r))
+        assert abs(Fraction(value) - exact) <= Fraction(1e-15) * exact
 
     def test_endpoint_q_rejected(self):
         with pytest.raises(ValueError, match="strictly inside"):
@@ -216,6 +233,14 @@ class TestEquilibriumResidual:
         params = GameParams(5, 3, 2 / 3)
         q_bar = solve_equilibrium(params).q_bar
         assert abs(equilibrium_residual(params, q_bar)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "n,k,p,q", [(5, 3, 0.5, 1e-12), (5, 3, 0.5, 1 - 1e-12), (40, 7, 0.7, 1e-9)]
+    )
+    def test_matches_exact_rationals_at_extreme_trusts(self, n, k, p, q):
+        exact = exact_residual(n, k, p, q)
+        value = equilibrium_residual(GameParams(n, k, p), q)
+        assert abs(Fraction(value) - exact) <= Fraction(1e-15) * abs(exact)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from starsearch import (
     series_payoff,
     simulate_round,
 )
-from starsearch.model import _pow1m
+from starsearch.model import _powers
 from starsearch.simulate import _coarrival_law
 
 
@@ -146,8 +146,8 @@ class TestEstimatePayoff:
             SimulationConfig(GameParams(n, k, p), TrustProfile(q, q), rounds=rounds, seed=31)
         )
         q_star = (1 - q) / k
-        success_right = 1 - _pow1m(q, n)
-        success_wrong = 1 - _pow1m(q_star, n)
+        success_right = _powers(q, n)[2]
+        success_wrong = _powers(q_star, n)[2]
         mean = p / success_right + (1 - p) / success_wrong
         second = p * (2 - success_right) / success_right**2 + (1 - p) * (
             2 - success_wrong
@@ -300,6 +300,11 @@ class TestPerTurnShare:
             closed = r * (1 - (1 - q) ** n) / (n * q)
             assert per_turn_share(r, q, n) == pytest.approx(closed, abs=1e-12)
 
+    def test_certain_co_arrivals(self):
+        # Nobody else lands, or everybody does.
+        assert per_turn_share(0.7, 0.0, 5) == 0.7
+        assert per_turn_share(0.7, 1.0, 5) == pytest.approx(0.7 / 5, rel=1e-15)
+
 
 class TestSeriesPayoff:
     def test_matches_closed_form_on_random_tuples(self):
@@ -351,6 +356,15 @@ class TestSeriesPayoff:
         assert time.perf_counter() - start < 0.1
         assert math.isfinite(value)
         assert value == pytest.approx(0.25, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1100, 2000, 10**5])
+    def test_large_population(self, n):
+        # Binomial coefficients of n - 1 do not fit a float here.
+        params = GameParams(n, 3, 0.5)
+        profile = TrustProfile(0.5, 0.5)
+        assert series_payoff(params, profile) == pytest.approx(
+            expected_payoff(params, profile), abs=1e-10
+        )
 
     def test_domain(self):
         params = GameParams(2, 1, 0.6)

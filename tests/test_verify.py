@@ -9,6 +9,7 @@ from starsearch import (
     check_equilibrium,
     check_probability_matching,
     estimate_payoff,
+    expected_payoff,
     solve_equilibrium,
 )
 
@@ -47,6 +48,22 @@ class TestBestResponseScan:
             q_bar = solve_equilibrium(params).q_bar
             scan = best_response_scan(params, q_bar)
             assert max(v for _, v in scan.grid) <= 1 / n + 1e-9
+
+    @pytest.mark.parametrize(
+        "n,k,p,q",
+        [
+            (5, 3, 0.5, 0.53),
+            (2, 1, 0.6, 1e-9),
+            (40, 7, 0.7, 1 - 1e-12),
+            (1000, 3, 0.5, 0.5),
+        ],
+    )
+    def test_grid_is_the_scalar_payoff(self, n, k, p, q):
+        # A scan is expected_payoff on a batch of deviations, to the bit.
+        params = GameParams(n, k, p)
+        scan = best_response_scan(params, q)
+        for r, payoff in scan.grid:
+            assert payoff == expected_payoff(params, TrustProfile(q, r))
 
     def test_endpoint_q_rejected(self):
         with pytest.raises(ValueError, match="strictly inside"):
