@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import residual_curve, solve_equilibrium, sweep_k
+from .equilibrium import residual_curve, solve_equilibrium, sweep_k, sweep_n
 from .model import (
     GameParams,
     TrustProfile,
@@ -127,10 +127,7 @@ def criterion_4(quick: bool = False) -> CriterionResult:
     details = []
     for k, p in ((1, 0.9), (3, 0.5), (10, 0.75)):
         first = math.ceil(trust_decrease_threshold(p, k)) + 1
-        values = [
-            solve_equilibrium(GameParams(n, k, p)).q_bar
-            for n in range(first, first + 50)
-        ]
+        values = sweep_n(k, p, range(first, first + 50)).ys
         strictly_down = all(b < a for a, b in zip(values, values[1:]))
         limit_gap = solve_equilibrium(GameParams(100_000, k, p)).q_bar - p
         converged = abs(limit_gap) < 1e-3

@@ -5,20 +5,26 @@ map is strictly increasing on (1/(k+1), 1), so plain bisection inherits a
 correctness guarantee, whereas the residual has a second, spurious zero at
 q = 1. Curve samplers back the standard pictures: residual curves crossing
 zero at the equilibrium, the reliability map against the diagonal, and
-equilibrium-trust sweeps in the population size and the ray count.
+equilibrium-trust sweeps in the population size and the ray count. Curves
+evaluate the model's formulas once on the whole grid, and long sweeps bisect
+every point at once as numpy lanes of the same kernel.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import (
     GameParams,
     _as_int,
     _as_probability,
+    _reliability,
     _reliability_excess,
+    _residual,
     equilibrium_residual,
     reliability_from_trust,
 )
@@ -37,6 +43,10 @@ __all__ = [
 # Offset of the bisection bracket from the open-interval endpoints, where the
 # reliability map only attains its limits.
 _BRACKET_MARGIN = 1e-9
+
+# Batches of at least this many solves run as numpy lanes; smaller ones are
+# cheaper as per-point scalar solves (the measured crossover).
+_LANE_MIN = 30
 
 
 class SolverError(RuntimeError):
@@ -108,11 +118,7 @@ def solve_equilibrium(
     f_lo = _reliability_excess(n, k, p, lo)
     f_hi = _reliability_excess(n, k, p, hi)
     if not (f_lo < 0.0 < f_hi):
-        raise SolverError(
-            "internal error: no sign change across the bisection bracket "
-            f"[{lo!r}, {hi!r}] for n={n}, k={k}, p={p!r}; "
-            "p is too close to its domain boundary"
-        )
+        raise _bracket_error(n, k, p, lo, hi)
     # Aim a little below q_tol so the residual in reliability units also
     # lands within q_tol (the map's slope stays of order one).
     width_target = 0.25 * q_tol
@@ -144,6 +150,46 @@ def solve_equilibrium(
     )
 
 
+def _bracket_error(n: int, k: int, p: float, lo: float, hi: float) -> SolverError:
+    return SolverError(
+        "internal error: no sign change across the bisection bracket "
+        f"[{lo!r}, {hi!r}] for n={n}, k={k}, p={p!r}; "
+        "p is too close to its domain boundary"
+    )
+
+
+def _q_bars(ns: Sequence[int], ks: Sequence[int], p: float) -> list[float]:
+    """solve_equilibrium(GameParams(n, k, p)).q_bar for each pair of ns, ks.
+
+    The caller validates the strictest pair. From _LANE_MIN pairs on, every
+    pair is a lane of one numpy bisection on the same excess kernel, bracket,
+    width target and float-grid stop as solve_equilibrium; a finished lane is
+    masked, so it stops where the scalar loop would, and each lane reports
+    its upper bracket end.
+    """
+    if len(ns) < _LANE_MIN:
+        return [solve_equilibrium(GameParams(n, k, p)).q_bar for n, k in zip(ns, ks)]
+    n = np.array(ns, dtype=float)
+    k = np.array(ks, dtype=float)
+    lo = 1.0 / (k + 1.0) + _BRACKET_MARGIN
+    hi = np.full_like(lo, 1.0 - _BRACKET_MARGIN)
+    straddles = (_reliability_excess(n, k, p, lo, np) < 0.0) & (
+        0.0 < _reliability_excess(n, k, p, hi, np)
+    )
+    if not straddles.all():
+        i = int(np.argmin(straddles))
+        raise _bracket_error(ns[i], ks[i], p, float(lo[i]), float(hi[i]))
+    while True:
+        mid = 0.5 * (lo + hi)
+        # width target of solve_equilibrium at its default q_tol = 1e-12
+        active = (hi - lo > 0.25 * 1e-12) & (lo < mid) & (mid < hi)
+        if not active.any():
+            return hi.tolist()
+        up = _reliability_excess(n, k, p, mid, np) > 0.0
+        hi = np.where(active & up, mid, hi)
+        lo = np.where(active & ~up, mid, lo)
+
+
 def _uniform_grid(lo: float, hi: float, steps: int) -> list[float]:
     last = steps - 1
     return [lo * (1.0 - i / last) + hi * (i / last) for i in range(steps)]
@@ -158,10 +204,10 @@ def residual_curve(
     steps = _as_int(steps, "steps", 2)
     if not 0.0 <= q_lo < q_hi <= 1.0:
         raise ValueError("need 0 <= q_lo < q_hi <= 1")
-    points = tuple(
-        (q, equilibrium_residual(params, q)) for q in _uniform_grid(q_lo, q_hi, steps)
-    )
-    return CurveSamples("q", "E", points)
+    qs = _uniform_grid(q_lo, q_hi, steps)
+    with np.errstate(divide="ignore"):
+        es = _residual(params.n, params.k, params.p, np.array(qs), np)
+    return CurveSamples("q", "E", tuple(zip(qs, es.tolist())))
 
 
 def reliability_curve(
@@ -175,10 +221,9 @@ def reliability_curve(
     steps = _as_int(steps, "steps", 2)
     if not 1.0 / (k + 1) < q_lo < q_hi < 1.0:
         raise ValueError("need 1/(k+1) < q_lo < q_hi < 1")
-    points = tuple(
-        (q, reliability_from_trust(n, k, q)) for q in _uniform_grid(q_lo, q_hi, steps)
-    )
-    return CurveSamples("q", "F", points)
+    qs = _uniform_grid(q_lo, q_hi, steps)
+    fs = _reliability(n, k, np.array(qs), np)
+    return CurveSamples("q", "F", tuple(zip(qs, fs.tolist())))
 
 
 def _sorted_unique(values: Iterable[int], name: str) -> list[int]:
@@ -192,11 +237,10 @@ def _sorted_unique(values: Iterable[int], name: str) -> list[int]:
 
 def sweep_n(k: int, p: float, n_values: Iterable[int]) -> CurveSamples:
     """Equilibrium trust against population size at fixed (k, p)."""
-    curve = tuple(
-        (float(n), solve_equilibrium(GameParams(n, k, p)).q_bar)
-        for n in _sorted_unique(n_values, "n_values")
-    )
-    return CurveSamples("n", "q_bar", curve)
+    ns = _sorted_unique(n_values, "n_values")
+    params = GameParams(ns[0], k, p)  # the smallest n is the strictest
+    q_bars = _q_bars(ns, [params.k] * len(ns), params.p)
+    return CurveSamples("n", "q_bar", tuple(zip(map(float, ns), q_bars)))
 
 
 def sweep_k(n: int, p: float, k_values: Iterable[int]) -> CurveSamples:
@@ -205,8 +249,7 @@ def sweep_k(n: int, p: float, k_values: Iterable[int]) -> CurveSamples:
     Every entry must satisfy p > 1/(k+1); an entry below the signal floor
     raises rather than being silently dropped.
     """
-    curve = tuple(
-        (float(k), solve_equilibrium(GameParams(n, k, p)).q_bar)
-        for k in _sorted_unique(k_values, "k_values")
-    )
-    return CurveSamples("k", "q_bar", curve)
+    ks = _sorted_unique(k_values, "k_values")
+    params = GameParams(n, ks[0], p)  # the smallest k is the strictest
+    q_bars = _q_bars([params.n] * len(ks), ks, params.p)
+    return CurveSamples("k", "q_bar", tuple(zip(map(float, ks), q_bars)))

@@ -83,19 +83,21 @@ def _require_interior_q(q: float) -> None:
         raise ValueError("q must lie strictly inside (0, 1)")
 
 
-def _powers(x: float, n: int) -> tuple[float, float, float, float]:
+def _powers(x, n, xp=math):
     """(1-x)^n, (1-x)^(n-1) and their complements 1-(1-x)^n, 1-(1-x)^(n-1).
 
     One log1p serves all four, on one route for any n >= 2, and they stay
     accurate for x near 0 or 1. The complements come from expm1, and
     1-(1-x)^n is built as (1-(1-x)^(n-1)) + x(1-x)^(n-1), a sum of
-    nonnegative terms, so no term loses digits to cancellation.
+    nonnegative terms, so no term loses digits to cancellation. With
+    xp=numpy, x and n may be arrays; there log1p(-1) = -inf already gives
+    (0, 0, 1, 1) at x = 1, under np.errstate(divide="ignore").
     """
-    if x >= 1.0:
+    if xp is math and x >= 1.0:
         return 0.0, 0.0, 1.0, 1.0
-    log_power = (n - 1) * math.log1p(-x)
-    power1 = math.exp(log_power)
-    complement1 = -math.expm1(log_power)
+    log_power = (n - 1) * xp.log1p(-x)
+    power1 = xp.exp(log_power)
+    complement1 = -xp.expm1(log_power)
     return power1 * (1.0 - x), power1, complement1 + x * power1, complement1
 
 
@@ -185,12 +187,15 @@ def equilibrium_residual(params: GameParams, q: float) -> float:
     reliability p, negative means too high. Also vanishes at q = 1, which is
     why the solver brackets on the monotone reliability map instead.
     """
-    n, k, p = params.n, params.k, params.p
-    q = _as_unit(q, "q")
+    return _residual(params.n, params.k, params.p, _as_unit(q, "q"))
+
+
+def _residual(n: int, k: int, p: float, q, xp=math):
+    """equilibrium_residual without validation; q may be a numpy array."""
     p_star = (1.0 - p) / k
     q_star = (1.0 - q) / k
-    _, _, a_complement, a1_complement = _powers(q_star, n)
-    _, _, b_complement, b1_complement = _powers(q, n)
+    _, _, a_complement, a1_complement = _powers(q_star, n, xp)
+    _, _, b_complement, b1_complement = _powers(q, n, xp)
     return p * q_star * a_complement * b1_complement - (
         p_star * q * b_complement * a1_complement
     )
@@ -209,25 +214,31 @@ def reliability_from_trust(n: int, k: int, q: float) -> float:
     q = _as_probability(q, "q")
     if not 1.0 / (k + 1) < q < 1.0:
         raise ValueError("q must lie strictly inside (1/(k+1), 1)")
+    return _reliability(n, k, q)
+
+
+def _reliability(n: int, k: int, q, xp=math):
+    """reliability_from_trust without validation; q may be a numpy array."""
     q_star = (1.0 - q) / k
-    _, _, a_complement, a1_complement = _powers(q_star, n)
-    _, _, b_complement, b1_complement = _powers(q, n)
+    _, _, a_complement, a1_complement = _powers(q_star, n, xp)
+    _, _, b_complement, b1_complement = _powers(q, n, xp)
     own = q * b_complement * a1_complement
     other = (1.0 - q) * a_complement * b1_complement
     return own / (own + other)
 
 
-def _reliability_excess(n: int, k: int, p: float, q: float) -> float:
+def _reliability_excess(n, k, p: float, q, xp=math):
     """Numerator of reliability_from_trust(n, k, q) - p, cancellation-free.
 
     Same sign and root as the direct difference, but built from the
     complement products alpha = 1 - A and beta = 1 - B as sums of positive
     terms, so the sign stays trustworthy even where the direct form rounds
     to q - p because A and B are within an ulp of 1. That keeps the bracket
-    honest for populations where the equilibrium gap underflows.
+    honest for populations where the equilibrium gap underflows. With
+    xp=numpy, n, k and q may be arrays of lanes.
     """
-    a, a1, a_complement, _ = _powers((1.0 - q) / k, n)
-    b, b1, b_complement, _ = _powers(q, n)
+    a, a1, a_complement, _ = _powers((1.0 - q) / k, n, xp)
+    b, b1, b_complement, _ = _powers(q, n, xp)
     alpha = a + b1 * a_complement
     beta = b + a1 * b_complement
     return (q - p) + p * (1.0 - q) * alpha - q * (1.0 - p) * beta

@@ -323,6 +323,10 @@ def per_turn_share(focal_p: float, other_p: float, n: int) -> float:
     divided by the mass they cover. So no term overflows at any n, and the
     cost grows like sqrt(n).
     """
+    if not 0.0 <= focal_p <= 1.0:
+        raise ValueError("focal_p must lie in [0, 1]")
+    if not 0.0 <= other_p <= 1.0:
+        raise ValueError("other_p must lie in [0, 1]")
     others = _as_int(n, "n", 2) - 1
     miss = 1.0 - other_p
     anchor = math.floor(others * other_p)

@@ -14,7 +14,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .equilibrium import EquilibriumSolution, _sorted_unique, solve_equilibrium
+from .equilibrium import EquilibriumSolution, _sorted_unique, solve_equilibrium, sweep_n
 from .model import (
     GameParams,
     _as_int,
@@ -169,7 +169,7 @@ def check_probability_matching(
     """
     ns = _sorted_unique(n_values, "n_values")
     threshold = trust_decrease_threshold(p, k)
-    gaps = tuple(solve_equilibrium(GameParams(n, k, p)).q_bar - p for n in ns)
+    gaps = tuple(q_bar - p for q_bar in sweep_n(k, p, ns).ys)
     decreasing = all(
         later <= earlier + decrease_slack
         for n_a, n_b, earlier, later in zip(ns, ns[1:], gaps, gaps[1:])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,15 +7,24 @@ import pytest
 from starsearch import (
     CurveSamples,
     GameParams,
+    SolverError,
     TrustProfile,
+    check_probability_matching,
+    equilibrium_residual,
     expected_payoff,
     reliability_curve,
+    reliability_from_trust,
     residual_curve,
     solve_equilibrium,
     sweep_k,
     sweep_n,
     trust_decrease_threshold,
 )
+from starsearch.equilibrium import _LANE_MIN
+
+
+def scalar_q_bar(n, k, p):
+    return solve_equilibrium(GameParams(n, k, p)).q_bar
 
 
 def sign_changes(values):
@@ -123,6 +133,17 @@ class TestResidualCurve:
         assert curve.xs[0] == 0.2 and curve.xs[-1] == 0.9
         assert (curve.abscissa_name, curve.ordinate_name) == ("q", "E")
 
+    def test_unit_interval_endpoints(self):
+        # q = 1 puts log1p(-1) into the kernel, and so does q = 0 when k = 1;
+        # both endpoints are zeros of the residual.
+        for k, p in ((1, 0.7), (3, 0.5)):
+            params = GameParams(5, k, p)
+            curve = residual_curve(params, 0.0, 1.0, 101)
+            assert curve.points[0] == (0.0, 0.0)
+            assert curve.points[-1] == (1.0, 0.0)
+            for q, e in curve.points:
+                assert e == pytest.approx(equilibrium_residual(params, q), abs=1e-15)
+
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError, match="q_lo < q_hi"):
             residual_curve(GameParams(5, 3, 0.5), 0.9, 0.2, 10)
@@ -153,6 +174,13 @@ class TestReliabilityCurve:
     def test_domain_rejected(self):
         with pytest.raises(ValueError, match=r"1/\(k\+1\)"):
             reliability_curve(5, 3, 0.2, 0.9, 10)
+
+    def test_doubles_next_to_the_open_ends(self):
+        for n, k in ((2, 1), (5, 3), (10**6, 10)):
+            lo = math.nextafter(1 / (k + 1), 1.0)
+            curve = reliability_curve(n, k, lo, math.nextafter(1.0, 0.0), 101)
+            for q, f in curve.points:
+                assert f == pytest.approx(reliability_from_trust(n, k, q), rel=1e-14)
 
 
 class TestSweeps:
@@ -205,6 +233,55 @@ class TestSweeps:
     def test_sweep_k_rejects_invalid_entry(self):
         with pytest.raises(ValueError, match=r"p must exceed 1/\(k\+1\)"):
             sweep_k(5, 0.3, [1])
+
+
+class TestLaneSolver:
+    """Sweeps of _LANE_MIN or more points bisect all of them as numpy lanes;
+    every lane must equal the scalar solve to the bit."""
+
+    def test_tested_sizes_straddle_the_crossover(self):
+        assert 10 < _LANE_MIN <= 40
+
+    def test_sweep_n_matches_scalar_solves(self):
+        curve = sweep_n(3, 0.5, range(2, 2002))
+        assert curve.ys == tuple(scalar_q_bar(n, 3, 0.5) for n in range(2, 2002))
+        assert all(q_bar > 0.5 for q_bar in curve.ys)
+
+    @pytest.mark.parametrize("k,p", [(1, 0.6), (3, 0.5), (10, 0.75)])
+    def test_log_spaced_sweep_to_a_million_matches_scalar_solves(self, k, p):
+        ns = sorted({int(round(n)) for n in np.geomspace(2, 1e6, 50)})
+        curve = sweep_n(k, p, ns)
+        assert curve.ys == tuple(scalar_q_bar(n, k, p) for n in ns)
+        assert all(q_bar > p for q_bar in curve.ys)
+
+    @pytest.mark.parametrize("k_to", [40, 10])
+    def test_sweep_k_matches_scalar_solves(self, k_to):
+        for n in (5, 1000):
+            curve = sweep_k(n, 0.9, range(1, k_to + 1))
+            assert curve.ys == tuple(scalar_q_bar(n, k, 0.9) for k in range(1, k_to + 1))
+            assert all(q_bar > 0.9 for q_bar in curve.ys)
+
+    def test_probability_matching_gaps_match_scalar_solves(self):
+        ns = range(2, 62)
+        report = check_probability_matching(3, 0.5, ns, tol_fn=lambda n: 1.0)
+        assert report.gaps == tuple(scalar_q_bar(n, 3, 0.5) - 0.5 for n in ns)
+
+    def test_invalid_smallest_entry_names_the_invariant(self):
+        with pytest.raises(ValueError, match="^n must be at least 2$"):
+            sweep_n(3, 0.5, range(1, 40))
+        floor = r"^p must exceed 1/\(k\+1\)$"
+        with pytest.raises(ValueError, match=floor):
+            sweep_n(1, 0.5, range(2, 40))
+        with pytest.raises(ValueError, match=floor):
+            sweep_k(5, 0.5, range(1, 40))
+        with pytest.raises(ValueError, match=floor):
+            check_probability_matching(1, 0.5, range(2, 40))
+
+    def test_bracket_failure_names_the_lane(self):
+        # Within 1e-9 of the k = 1 floor only that lane's bracket fails.
+        p = 0.5 + 1e-13
+        with pytest.raises(SolverError, match=re.escape(f"n=5, k=1, p={p!r}")):
+            sweep_k(5, p, range(1, 40))
 
 
 class TestUniquenessProbe:

@@ -305,6 +305,23 @@ class TestPerTurnShare:
         assert per_turn_share(0.7, 0.0, 5) == 0.7
         assert per_turn_share(0.7, 1.0, 5) == pytest.approx(0.7 / 5, rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "focal_p,other_p,name",
+        [
+            (0.5, -0.2, "other_p"),
+            (0.5, 1.5, "other_p"),
+            (0.5, math.nan, "other_p"),
+            (2.0, 0.5, "focal_p"),
+            (-0.5, 0.5, "focal_p"),
+            (math.nan, 0.5, "focal_p"),
+        ],
+    )
+    def test_probabilities_outside_the_unit_interval_rejected(
+        self, focal_p, other_p, name
+    ):
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 1\]$"):
+            per_turn_share(focal_p, other_p, 3)
+
 
 class TestSeriesPayoff:
     def test_matches_closed_form_on_random_tuples(self):
