@@ -8,9 +8,11 @@ Carlo, brute-force equilibrium verification, the large-population best-
 response trichotomy, uniqueness of the residual root, and byte determinism of
 the command line.
 
-Each check returns a CriterionResult; run_all executes them in order. quick
-mode shrinks the random grids and Monte Carlo sizes for a fast smoke run and
-is not the normative configuration.
+Each check is registered in order by the _criterion decorator, which times
+it, applies its wall-time budget if it has one, and returns a
+CriterionResult; run_all executes them in order. quick mode shrinks the
+random grids and Monte Carlo sizes for a fast smoke run and is not the
+normative configuration.
 """
 
 from __future__ import annotations
@@ -46,16 +48,52 @@ class CriterionResult:
     elapsed: float
 
 
-def _random_valid_p(rng: np.random.Generator, k: int, margin: float = 0.02) -> float:
+_CRITERIA = []
+
+
+def _criterion(name: str, budget_s: float | None = None):
+    """Register a check as the next numbered criterion.
+
+    The check maps quick to (passed, detail). The criterion times it; with a
+    budget it fails at budget_s seconds or more, and its detail ends with
+    the total time.
+    """
+
+    def register(check):
+        number = len(_CRITERIA) + 1
+
+        def criterion(quick: bool = False) -> CriterionResult:
+            start = time.perf_counter()
+            passed, detail = check(quick)
+            elapsed = time.perf_counter() - start
+            if budget_s is not None:
+                passed = passed and elapsed < budget_s
+                detail += f"; total {elapsed:.2f}s"
+            return CriterionResult(number, name, passed, detail, elapsed)
+
+        criterion.__name__ = criterion.__qualname__ = check.__name__
+        criterion.__doc__ = check.__doc__
+        _CRITERIA.append(criterion)
+        return criterion
+
+    return register
+
+
+def _random_game(
+    rng: np.random.Generator, n_max: int, k_max: int, margin: float = 0.02
+) -> GameParams:
+    """n in 2..n_max, k in 1..k_max and p inside (1/(k+1), 1), drawn in that order."""
+    n = int(rng.integers(2, n_max + 1))
+    k = int(rng.integers(1, k_max + 1))
     floor = 1.0 / (k + 1)
-    return floor + (1.0 - floor) * rng.uniform(margin, 1.0 - margin)
+    return GameParams(n, k, floor + (1.0 - floor) * rng.uniform(margin, 1.0 - margin))
 
 
-def criterion_1(quick: bool = False) -> CriterionResult:
+@_criterion("figure roots")
+def criterion_1(quick: bool) -> tuple[bool, str]:
     """Solved roots match the known two-decimal values, under 1 ms each."""
-    start = time.perf_counter()
     cases = [(0.5, 0.53), (2.0 / 3.0, 0.70), (3.0 / 4.0, 0.78)]
-    failures = []
+    ok = True
     details = []
     solve_equilibrium(GameParams(5, 3, 0.5))  # warm-up outside the timing
     for p, expected in cases:
@@ -65,92 +103,64 @@ def criterion_1(quick: bool = False) -> CriterionResult:
             t0 = time.perf_counter()
             solution = solve_equilibrium(params)
             best = min(best, time.perf_counter() - t0)
-        ok = abs(solution.q_bar - expected) <= 0.005 and best < 1e-3
-        if not ok:
-            failures.append((p, solution.q_bar, best))
+        ok = ok and abs(solution.q_bar - expected) <= 0.005 and best < 1e-3
         details.append(f"p={p:.4f}: q_bar={solution.q_bar:.4f} in {best * 1e6:.0f}us")
-    return CriterionResult(
-        1, "figure roots", not failures, "; ".join(details), time.perf_counter() - start
-    )
+    return ok, "; ".join(details)
 
 
-def criterion_2(quick: bool = False) -> CriterionResult:
+@_criterion("symmetric payoff identity")
+def criterion_2(quick: bool) -> tuple[bool, str]:
     """Symmetric profile pays exactly 1/n to within 1e-12."""
-    start = time.perf_counter()
     rng = np.random.default_rng(1002)
     count = 120 if quick else 500
     worst = 0.0
     for _ in range(count):
-        n = int(rng.integers(2, 101))
-        k = int(rng.integers(1, 11))
-        p = _random_valid_p(rng, k)
+        params = _random_game(rng, 100, 10)
         q = float(rng.uniform(0.01, 0.99))
-        payoff = expected_payoff(GameParams(n, k, p), TrustProfile(q, q))
-        worst = max(worst, abs(payoff - 1.0 / n))
-    return CriterionResult(
-        2,
-        "symmetric payoff identity",
-        worst <= 1e-12,
-        f"max |payoff - 1/n| = {worst:.3e} over {count} tuples",
-        time.perf_counter() - start,
-    )
+        payoff = expected_payoff(params, TrustProfile(q, q))
+        worst = max(worst, abs(payoff - 1.0 / params.n))
+    return worst <= 1e-12, f"max |payoff - 1/n| = {worst:.3e} over {count} tuples"
 
 
-def criterion_3(quick: bool = False) -> CriterionResult:
+@_criterion("trust exceeds reliability")
+def criterion_3(quick: bool) -> tuple[bool, str]:
     """Equilibrium trust strictly exceeds reliability; zero violations."""
-    start = time.perf_counter()
     rng = np.random.default_rng(1003)
     count = 100 if quick else 300
     violations = 0
     smallest = math.inf
     for _ in range(count):
-        n = int(rng.integers(2, 101))
-        k = int(rng.integers(1, 11))
-        p = _random_valid_p(rng, k)
-        gap = solve_equilibrium(GameParams(n, k, p)).q_bar - p
+        params = _random_game(rng, 100, 10)
+        gap = solve_equilibrium(params).q_bar - params.p
         smallest = min(smallest, gap)
         if gap <= 0.0:
             violations += 1
-    return CriterionResult(
-        3,
-        "trust exceeds reliability",
-        violations == 0,
-        f"{violations} violations over {count} triples; smallest gap {smallest:.3e}",
-        time.perf_counter() - start,
+    return violations == 0, (
+        f"{violations} violations over {count} triples; smallest gap {smallest:.3e}"
     )
 
 
-def criterion_4(quick: bool = False) -> CriterionResult:
+@_criterion("eventually decreasing in n", budget_s=10.0)
+def criterion_4(quick: bool) -> tuple[bool, str]:
     """Trust strictly decreasing past the threshold and converging, under 10 s."""
-    start = time.perf_counter()
-    problems = []
+    ok = True
     details = []
     for k, p in ((1, 0.9), (3, 0.5), (10, 0.75)):
         first = math.ceil(trust_decrease_threshold(p, k)) + 1
         values = sweep_n(k, p, range(first, first + 50)).ys
         strictly_down = all(b < a for a, b in zip(values, values[1:]))
         limit_gap = solve_equilibrium(GameParams(100_000, k, p)).q_bar - p
-        converged = abs(limit_gap) < 1e-3
-        if not (strictly_down and converged):
-            problems.append((k, p, strictly_down, limit_gap))
+        ok = ok and strictly_down and abs(limit_gap) < 1e-3
         details.append(
             f"k={k},p={p}: n={first}..{first + 49} "
             f"{'down' if strictly_down else 'NOT down'}, gap(1e5)={limit_gap:.2e}"
         )
-    elapsed = time.perf_counter() - start
-    in_budget = elapsed < 10.0
-    return CriterionResult(
-        4,
-        "eventually decreasing in n",
-        not problems and in_budget,
-        "; ".join(details) + f"; total {elapsed:.2f}s",
-        elapsed,
-    )
+    return ok, "; ".join(details)
 
 
-def criterion_5(quick: bool = False) -> CriterionResult:
+@_criterion("increasing in k")
+def criterion_5(quick: bool) -> tuple[bool, str]:
     """Equilibrium trust strictly increasing in the ray count."""
-    start = time.perf_counter()
     ok = True
     details = []
     for n, p in ((5, 0.6), (20, 0.51)):
@@ -161,27 +171,22 @@ def criterion_5(quick: bool = False) -> CriterionResult:
             f"n={n},p={p}: {'up' if increasing else 'NOT up'} "
             f"({values[0]:.4f}..{values[-1]:.4f})"
         )
-    return CriterionResult(
-        5, "increasing in k", ok, "; ".join(details), time.perf_counter() - start
-    )
+    return ok, "; ".join(details)
 
 
-def criterion_6(quick: bool = False) -> CriterionResult:
-    """Series, closed form and Monte Carlo agree on a random tuple grid."""
-    start = time.perf_counter()
+@_criterion("oracle triangle", budget_s=60.0)
+def criterion_6(quick: bool) -> tuple[bool, str]:
+    """Series, closed form and Monte Carlo agree on a random tuple grid, under 60 s."""
     rng = np.random.default_rng(1006)
     count = 12 if quick else 50
     rounds = 100_000 if quick else 1_000_000
     worst_series = 0.0
     worst_z = 0.0
-    failures = 0
+    ok = True
     for i in range(count):
-        n = int(rng.integers(2, 11))
-        k = int(rng.integers(1, 6))
-        p = _random_valid_p(rng, k, margin=0.05)
+        params = _random_game(rng, 10, 5, margin=0.05)
         q = float(rng.uniform(0.2, 0.85))
         r = float(rng.uniform(0.05, 0.95))
-        params = GameParams(n, k, p)
         profile = TrustProfile(q, r)
         exact = expected_payoff(params, profile)
         series_gap = abs(series_payoff(params, profile) - exact)
@@ -191,23 +196,16 @@ def criterion_6(quick: bool = False) -> CriterionResult:
         )
         z = abs(report.focal_mean_payoff - exact) / report.focal_std_error
         worst_z = max(worst_z, z)
-        if series_gap >= 1e-10 or z >= 4.0 or report.capped_rounds:
-            failures += 1
-    elapsed = time.perf_counter() - start
-    in_budget = elapsed < 60.0
-    return CriterionResult(
-        6,
-        "oracle triangle",
-        failures == 0 and in_budget,
+        ok = ok and series_gap < 1e-10 and z < 4.0 and not report.capped_rounds
+    return ok, (
         f"{count} tuples x {rounds} rounds: max series gap {worst_series:.2e}, "
-        f"max |z| {worst_z:.2f}, total {elapsed:.1f}s",
-        elapsed,
+        f"max |z| {worst_z:.2f}"
     )
 
 
-def criterion_7(quick: bool = False) -> CriterionResult:
+@_criterion("equilibrium verification")
+def criterion_7(quick: bool) -> tuple[bool, str]:
     """Brute-force equilibrium verification at the reference instances."""
-    start = time.perf_counter()
     rounds = 100_000 if quick else 1_000_000
     ok = True
     details = []
@@ -215,7 +213,7 @@ def criterion_7(quick: bool = False) -> CriterionResult:
         ((5, 3, 0.5), (5, 3, 2.0 / 3.0), (5, 3, 0.75), (2, 1, 2.0 / 3.0))
     ):
         params = GameParams(n, k, p)
-        check = check_equilibrium(params, payoff_tol=1e-9)
+        check = check_equilibrium(params)
         q_bar = check.solution.q_bar
         report = estimate_payoff(
             SimulationConfig(
@@ -230,31 +228,19 @@ def criterion_7(quick: bool = False) -> CriterionResult:
             f"excess={check.best_payoff_excess:.1e} z={z:.2f}"
             + ("" if case_ok else " FAIL")
         )
-    return CriterionResult(
-        7,
-        "equilibrium verification",
-        ok,
-        "; ".join(details),
-        time.perf_counter() - start,
-    )
+    return ok, "; ".join(details)
 
 
-def criterion_8(quick: bool = False) -> CriterionResult:
+@_criterion("best-response trichotomy")
+def criterion_8(quick: bool) -> tuple[bool, str]:
     """Large-population best response: all-or-nothing away from matching."""
-    start = time.perf_counter()
     params = GameParams(1000, 3, 0.5)
     step = 1.0 / 2000
     high = best_response_scan(params, 0.6).argmax_r
     low = best_response_scan(params, 0.4).argmax_r
     matched = best_response_scan(params, 0.5).argmax_r
     ok = high == 0.0 and low == 1.0 and abs(matched - 0.5) <= step
-    return CriterionResult(
-        8,
-        "best-response trichotomy",
-        ok,
-        f"argmax(q=0.6)={high}, argmax(q=0.4)={low}, argmax(q=0.5)={matched}",
-        time.perf_counter() - start,
-    )
+    return ok, f"argmax(q=0.6)={high}, argmax(q=0.4)={low}, argmax(q=0.5)={matched}"
 
 
 def _sign_changes(values: tuple[float, ...]) -> int:
@@ -262,18 +248,15 @@ def _sign_changes(values: tuple[float, ...]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def criterion_9(quick: bool = False) -> CriterionResult:
+@_criterion("unique residual root")
+def criterion_9(quick: bool) -> tuple[bool, str]:
     """The residual has exactly one interior sign change, at the solved root."""
-    start = time.perf_counter()
     rng = np.random.default_rng(1009)
     count = 60 if quick else 200
     bad = 0
     for _ in range(count):
-        n = int(rng.integers(2, 51))
-        k = int(rng.integers(1, 11))
-        p = _random_valid_p(rng, k)
-        params = GameParams(n, k, p)
-        lo = 1.0 / (k + 1) + 1e-6
+        params = _random_game(rng, 50, 10)
+        lo = 1.0 / (params.k + 1) + 1e-6
         hi = 1.0 - 1e-6
         curve = residual_curve(params, lo, hi, 2000)
         ys = curve.ys
@@ -288,13 +271,7 @@ def criterion_9(quick: bool = False) -> CriterionResult:
         spacing = (hi - lo) / 1999
         if abs(crossing - solve_equilibrium(params).q_bar) > spacing:
             bad += 1
-    return CriterionResult(
-        9,
-        "unique residual root",
-        bad == 0,
-        f"{bad} of {count} grids failed the single-crossing check",
-        time.perf_counter() - start,
-    )
+    return bad == 0, f"{bad} of {count} grids failed the single-crossing check"
 
 
 def _cli_bytes(args: list[str]) -> bytes:
@@ -311,9 +288,9 @@ def _cli_bytes(args: list[str]) -> bytes:
     return proc.stdout
 
 
-def criterion_10(quick: bool = False) -> CriterionResult:
+@_criterion("byte determinism")
+def criterion_10(quick: bool) -> tuple[bool, str]:
     """Repeated CLI invocations produce byte-identical output."""
-    start = time.perf_counter()
     rounds = "20000" if quick else "100000"
     simulate_args = [
         "simulate", "--n", "2", "--k", "1", "--p", "0.6667",
@@ -322,27 +299,12 @@ def criterion_10(quick: bool = False) -> CriterionResult:
     solve_args = ["solve", "--n", "5", "--k", "3", "--p", "0.5"]
     sim_same = _cli_bytes(simulate_args) == _cli_bytes(simulate_args)
     solve_same = _cli_bytes(solve_args) == _cli_bytes(solve_args)
-    return CriterionResult(
-        10,
-        "byte determinism",
-        sim_same and solve_same,
-        f"simulate identical: {sim_same}; solve identical: {solve_same}",
-        time.perf_counter() - start,
+    return sim_same and solve_same, (
+        f"simulate identical: {sim_same}; solve identical: {solve_same}"
     )
 
 
-CRITERIA = (
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-)
+CRITERIA = tuple(_CRITERIA)
 
 
 def run_all(quick: bool = False) -> list[CriterionResult]:

@@ -35,10 +35,13 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _print_csv(header: str, points) -> None:
+    rows = "".join(f"{x:.17g},{y:.17g}\n" for x, y in points)
+    sys.stdout.write(f"{header}\n{rows}")
+
+
 def _print_curve(curve) -> None:
-    print(f"{curve.abscissa_name},{curve.ordinate_name}")
-    for x, y in curve.points:
-        print(f"{_fmt(x)},{_fmt(y)}")
+    _print_csv(f"{curve.abscissa_name},{curve.ordinate_name}", curve.points)
 
 
 def _json_field(key: str, value) -> str:
@@ -143,9 +146,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_best_response(args) -> int:
     params = GameParams(args.n, args.k, args.p)
     scan = best_response_scan(params, args.q, r_steps=args.steps)
-    print("r,payoff")
-    for r, payoff in scan.grid:
-        print(f"{_fmt(r)},{_fmt(payoff)}")
+    _print_csv("r,payoff", scan.grid)
     print(
         f"argmax_r={_fmt(scan.argmax_r)} max_payoff={_fmt(scan.max_payoff)}",
         file=sys.stderr,

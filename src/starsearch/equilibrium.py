@@ -44,6 +44,10 @@ __all__ = [
 # reliability map only attains its limits.
 _BRACKET_MARGIN = 1e-9
 
+# Default width of the final bisection bracket, shared by scalar and lane
+# solves so that both stop at the same bracket.
+_Q_TOL = 1e-12
+
 # Batches of at least this many solves run as numpy lanes; smaller ones are
 # cheaper as per-point scalar solves (the measured crossover).
 _LANE_MIN = 30
@@ -74,11 +78,13 @@ class CurveSamples:
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        xs = [x for x, _ in self.points]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ValueError("abscissa values must be strictly increasing")
-        if not all(math.isfinite(x) and math.isfinite(y) for x, y in self.points):
-            raise ValueError("curve values must be finite")
+        last = -math.inf
+        for x, y in self.points:
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError("curve values must be finite")
+            if x <= last:
+                raise ValueError("abscissa values must be strictly increasing")
+            last = x
 
     @property
     def xs(self) -> tuple[float, ...]:
@@ -90,13 +96,14 @@ class CurveSamples:
 
 
 def solve_equilibrium(
-    params: GameParams, q_tol: float = 1e-12, max_iter: int = 200
+    params: GameParams, q_tol: float = _Q_TOL
 ) -> EquilibriumSolution:
     """Find the unique symmetric-equilibrium trust by bisection.
 
     Brackets [1/(k+1) + 1e-9, 1 - 1e-9] and halves until the bracket is
-    narrower than q_tol. Deterministic: identical inputs give bit-identical
-    solutions.
+    narrower than q_tol or at the resolution of the float grid, which ends
+    any bisection of that bracket within about 82 halvings. Deterministic:
+    identical inputs give bit-identical solutions.
 
     The reported trust is the upper end of the final bracket. The bracket
     always satisfies excess(lo) <= 0 < excess(hi) with a sign function that
@@ -106,12 +113,10 @@ def solve_equilibrium(
     bracket midpoint would land on either side of p.
 
     Raises SolverError if the bracket endpoints do not straddle the root
-    (possible only when p sits within about 1e-9 of its domain boundary) or
-    if max_iter bisections cannot reach q_tol.
+    (possible only when p sits within about 1e-9 of its domain boundary).
     """
     if not q_tol > 0.0:
         raise ValueError("q_tol must be positive")
-    max_iter = _as_int(max_iter, "max_iter", 1)
     n, k, p = params.n, params.k, params.p
     lo = 1.0 / (k + 1) + _BRACKET_MARGIN
     hi = 1.0 - _BRACKET_MARGIN
@@ -124,11 +129,6 @@ def solve_equilibrium(
     width_target = 0.25 * q_tol
     iterations = 0
     while hi - lo > width_target:
-        if iterations >= max_iter:
-            raise SolverError(
-                f"internal error: bisection did not reach tolerance {q_tol!r} "
-                f"after {max_iter} iterations; best bracket [{lo!r}, {hi!r}]"
-            )
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # bracket already at the resolution of the float grid
@@ -181,8 +181,7 @@ def _q_bars(ns: Sequence[int], ks: Sequence[int], p: float) -> list[float]:
         raise _bracket_error(ns[i], ks[i], p, float(lo[i]), float(hi[i]))
     while True:
         mid = 0.5 * (lo + hi)
-        # width target of solve_equilibrium at its default q_tol = 1e-12
-        active = (hi - lo > 0.25 * 1e-12) & (lo < mid) & (mid < hi)
+        active = (hi - lo > 0.25 * _Q_TOL) & (lo < mid) & (mid < hi)
         if not active.any():
             return hi.tolist()
         up = _reliability_excess(n, k, p, mid, np) > 0.0

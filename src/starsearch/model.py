@@ -228,20 +228,32 @@ def _reliability(n: int, k: int, q, xp=math):
 
 
 def _reliability_excess(n, k, p: float, q, xp=math):
-    """Numerator of reliability_from_trust(n, k, q) - p, cancellation-free.
+    """Numerator of reliability_from_trust(n, k, q) - p, with a sign to trust.
 
-    Same sign and root as the direct difference, but built from the
-    complement products alpha = 1 - A and beta = 1 - B as sums of positive
-    terms, so the sign stays trustworthy even where the direct form rounds
-    to q - p because A and B are within an ulp of 1. That keeps the bracket
-    honest for populations where the equilibrium gap underflows. With
-    xp=numpy, n, k and q may be arrays of lanes.
+    That is q(1-p) B A1 - p(1-q) A B1, where A, A1 = 1-(1-q*)^n, 1-(1-q*)^(n-1)
+    with q* = (1-q)/k, and B, B1 are the same for q. Where A < 2**-10
+    (k much larger than n) it is computed as written, from complements that
+    expm1 makes accurate. Elsewhere the products are close to 1 and it is
+    (q - p) + p(1-q) alpha - q(1-p) beta, with alpha = 1 - A B1 and
+    beta = 1 - B A1 built from positive terms, whose sign stays right where
+    the equilibrium gap underflows. The form is chosen per element, so numpy
+    lanes (xp=numpy; n, k and q may be arrays) and scalar calls agree, and
+    the products are formed only when some element needs them.
     """
-    a, a1, a_complement, _ = _powers((1.0 - q) / k, n, xp)
-    b, b1, b_complement, _ = _powers(q, n, xp)
+    a, a1, a_complement, a1_complement = _powers((1.0 - q) / k, n, xp)
+    b, b1, b_complement, b1_complement = _powers(q, n, xp)
+    small = a_complement < 2.0**-10
+    some_small = small if xp is math else small.any()
+    if some_small:
+        products = (1.0 - p) * q * b_complement * a1_complement - (
+            p * (1.0 - q) * a_complement * b1_complement
+        )
+        if xp is math:
+            return products
     alpha = a + b1 * a_complement
     beta = b + a1 * b_complement
-    return (q - p) + p * (1.0 - q) * alpha - q * (1.0 - p) * beta
+    sums = (q - p) + p * (1.0 - q) * alpha - q * (1.0 - p) * beta
+    return xp.where(small, products, sums) if some_small else sums
 
 
 def trust_decrease_threshold(p: float, k: int) -> float:

@@ -348,21 +348,21 @@ def per_turn_share(focal_p: float, other_p: float, n: int) -> float:
     return focal_p * total / mass
 
 
-def series_payoff(
-    params: GameParams, profile: TrustProfile, tail_tol: float = 1e-14
-) -> float:
+# series_payoff stops a branch once its remaining mass is at most this.
+_TAIL_TOL = 1e-14
+
+
+def series_payoff(params: GameParams, profile: TrustProfile) -> float:
     """Expected focal share by summing the game turn by turn.
 
     Independent route to the same number as the closed-form payoff: for each
     pointer branch, sum share * s**t over turns t = 0, 1, ..., where share
     is the enumerated per-turn expected share and s the probability that
     nobody lands in a turn, stopping once the remaining mass drops below
-    tail_tol. The sum runs in doubling blocks, S_2T = S_T (1 + s**T), so
+    _TAIL_TOL. The sum runs in doubling blocks, S_2T = S_T (1 + s**T), so
     its cost grows with log(1/(1 - s)) rather than 1/(1 - s). Neither the
     binomial sum nor the geometric series uses its closed form.
     """
-    if not tail_tol > 0.0:
-        raise ValueError("tail_tol must be positive")
     _require_interior_q(profile.q)
     n, p = params.n, params.p
     total = 0.0
@@ -382,7 +382,7 @@ def series_payoff(
             power = math.exp(math.ldexp(log_s, doublings))
             # Remaining mass is share * power / (1 - s); dividing first keeps
             # the bound from underflowing when share is subnormal.
-            if power <= tail_tol * (landing / share):
+            if power <= _TAIL_TOL * (landing / share):
                 break
             branch *= 1.0 + power
             doublings += 1

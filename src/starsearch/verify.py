@@ -14,7 +14,13 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .equilibrium import EquilibriumSolution, _sorted_unique, solve_equilibrium, sweep_n
+from .equilibrium import (
+    _Q_TOL,
+    EquilibriumSolution,
+    _sorted_unique,
+    solve_equilibrium,
+    sweep_n,
+)
 from .model import (
     GameParams,
     _as_int,
@@ -120,23 +126,23 @@ def best_response_scan(
     )
 
 
-def check_equilibrium(
-    params: GameParams,
-    q_tol: float = 1e-12,
-    payoff_tol: float = 1e-9,
-    r_steps: int = 2001,
-    residual_tol: float = 1e-10,
-) -> EquilibriumCheck:
+# check_equilibrium's bounds: on the best scanned payoff above the symmetric
+# share 1/n, and on the equilibrium residual at the solved trust.
+_PAYOFF_TOL = 1e-9
+_RESIDUAL_TOL = 1e-10
+
+
+def check_equilibrium(params: GameParams) -> EquilibriumCheck:
     """Solve, then verify the solution by brute force.
 
     Asserts that (a) the scanned best response lands within one grid step of
     the solved trust, (b) no scanned deviation earns more than the symmetric
-    share 1/n plus payoff_tol, and (c) the equilibrium residual at the
-    solution is below residual_tol. Failures are recorded, not raised.
+    share 1/n plus _PAYOFF_TOL, and (c) the equilibrium residual at the
+    solution is at most _RESIDUAL_TOL. Failures are recorded, not raised.
     """
-    solution = solve_equilibrium(params, q_tol=q_tol)
-    scan = best_response_scan(params, solution.q_bar, r_steps=r_steps)
-    spacing = 1.0 / (r_steps - 1)
+    solution = solve_equilibrium(params)
+    scan = best_response_scan(params, solution.q_bar)
+    spacing = 1.0 / (len(scan.grid) - 1)
     argmax_gap = abs(scan.argmax_r - solution.q_bar)
     excess = scan.max_payoff - 1.0 / params.n
     return EquilibriumCheck(
@@ -146,8 +152,8 @@ def check_equilibrium(
         argmax_gap=argmax_gap,
         argmax_ok=argmax_gap <= spacing,
         best_payoff_excess=excess,
-        no_profitable_deviation=excess <= payoff_tol,
-        e_residual_ok=solution.e_residual <= residual_tol,
+        no_profitable_deviation=excess <= _PAYOFF_TOL,
+        e_residual_ok=solution.e_residual <= _RESIDUAL_TOL,
     )
 
 
@@ -156,28 +162,25 @@ def check_probability_matching(
     p: float,
     n_values: Iterable[int],
     tol_fn: Callable[[int], float] | None = None,
-    decrease_slack: float = 1e-12,
 ) -> ProbabilityMatchingReport:
     """Check that equilibrium trust stays above p and sinks toward it.
 
     For each population size the gap q_bar(n) - p must be strictly positive;
     between consecutive entries that both exceed the decrease threshold the
-    gap must not grow by more than decrease_slack (consecutive roots are only
-    located to the solver tolerance, so smaller decreases cannot be
-    resolved); and the final gap must fall below tol_fn(max n), which
+    gap must not grow by more than the solver's bracket width _Q_TOL
+    (consecutive roots are only located to it, so smaller decreases cannot
+    be resolved); and the final gap must fall below tol_fn(max n), which
     defaults to a flat 1e-3.
     """
     ns = _sorted_unique(n_values, "n_values")
     threshold = trust_decrease_threshold(p, k)
     gaps = tuple(q_bar - p for q_bar in sweep_n(k, p, ns).ys)
     decreasing = all(
-        later <= earlier + decrease_slack
+        later <= earlier + _Q_TOL
         for n_a, n_b, earlier, later in zip(ns, ns[1:], gaps, gaps[1:])
         if n_a > threshold
     )
-    if tol_fn is None:
-        tol_fn = lambda n: 1e-3  # noqa: E731
-    final_tol = tol_fn(ns[-1])
+    final_tol = 1e-3 if tol_fn is None else tol_fn(ns[-1])
     return ProbabilityMatchingReport(
         k=k,
         p=float(p),

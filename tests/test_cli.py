@@ -47,6 +47,13 @@ class TestSolve:
         payload = json.loads(out)
         assert payload["bracket_hi"] - payload["bracket_lo"] <= 1e-6
 
+    def test_ray_count_far_above_population(self, capsys):
+        code, out, err = run_cli(
+            capsys, "solve", "--n", "2", "--k", "20000000", "--p", "0.5"
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["q_bar"] > 0.5
+
 
 class TestCurves:
     def test_curve_e_header_and_endpoint(self, capsys):

@@ -284,6 +284,30 @@ class TestLaneSolver:
             sweep_k(5, p, range(1, 40))
 
 
+class TestLargeRayCount:
+    """k much larger than n, where the excess's sum form cancels."""
+
+    @pytest.mark.parametrize(
+        "n,k",
+        [(2, 2 * 10**7), (5, 10**8), (100, 2 * 10**9), (10**4, 2 * 10**11),
+         (10**6, 2 * 10**13), (2, 10**30)],
+    )
+    def test_solves_where_the_sum_form_cancels(self, n, k):
+        solution = solve_equilibrium(GameParams(n, k, 0.5))
+        assert solution.q_bar > 0.5
+        assert solution.residual <= 1e-10
+
+    @pytest.mark.parametrize("k", [10**6, 10**7])
+    def test_residual_stays_small(self, k):
+        assert solve_equilibrium(GameParams(2, k, 0.5)).residual <= 1e-10
+
+    def test_sweep_k_near_a_billion_matches_scalar_solves(self):
+        ks = range(10**9, 10**9 + 40)
+        curve = sweep_k(3, 0.6, ks)
+        assert curve.ys == tuple(scalar_q_bar(3, k, 0.6) for k in ks)
+        assert all(q_bar > 0.6 for q_bar in curve.ys)
+
+
 class TestUniquenessProbe:
     def test_single_sign_change_on_random_triples(self):
         rng = np.random.default_rng(11)

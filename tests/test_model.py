@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from starsearch import (
     solve_equilibrium,
     trust_decrease_threshold,
 )
-from starsearch.model import _powers
+from starsearch.model import _powers, _reliability_excess
 
 # Strategies for valid game parameters: p drawn inside (1/(k+1), 1) with a
 # margin so hypothesis shrinking cannot land on the open boundary.
@@ -245,6 +246,40 @@ class TestEquilibriumResidual:
     def test_domain(self):
         with pytest.raises(ValueError):
             equilibrium_residual(GameParams(5, 3, 0.5), 1.2)
+
+
+def exact_excess_terms(n, k, p, q):
+    """The two products whose difference _reliability_excess evaluates, exactly."""
+    p, q = Fraction(p), Fraction(q)
+    q_star = (1 - q) / k
+    a, a1 = 1 - (1 - q_star) ** n, 1 - (1 - q_star) ** (n - 1)
+    b, b1 = 1 - (1 - q) ** n, 1 - (1 - q) ** (n - 1)
+    return q * (1 - p) * b * a1, p * (1 - q) * a * b1
+
+
+# (n, k, q) at p = 0.6: the first four have k far above n and take the product
+# form, where the sums of alpha and beta would cancel; the others take the sums.
+EXCESS_POINTS = [
+    (2, 10**7, 0.65), (2, 10**7, 0.6483), (5, 10**9, 0.62),
+    (3, 2000, 0.75), (5, 3, 0.7), (5, 3, 0.631), (40, 7, 0.72), (2, 1, 0.9),
+]
+
+
+class TestReliabilityExcess:
+    """The error stays a few ulps of the products it is the difference of."""
+
+    @pytest.mark.parametrize("n,k,q", EXCESS_POINTS)
+    def test_scalar_matches_exact_rationals(self, n, k, q):
+        own, other = exact_excess_terms(n, k, 0.6, q)
+        value = _reliability_excess(n, k, 0.6, q)
+        assert abs(Fraction(value) - (own - other)) <= Fraction(1e-14) * (own + other)
+
+    def test_lanes_mixing_both_forms_match_exact_rationals(self):
+        n, k, q = (np.array(column, dtype=float) for column in zip(*EXCESS_POINTS))
+        values = _reliability_excess(n, k, 0.6, q, np)
+        for (n, k, q), value in zip(EXCESS_POINTS, values.tolist()):
+            own, other = exact_excess_terms(n, k, 0.6, q)
+            assert abs(Fraction(value) - (own - other)) <= Fraction(1e-14) * (own + other)
 
 
 class TestReliabilityFromTrust:

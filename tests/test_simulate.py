@@ -387,5 +387,3 @@ class TestSeriesPayoff:
         params = GameParams(2, 1, 0.6)
         with pytest.raises(ValueError, match="strictly inside"):
             series_payoff(params, TrustProfile(1.0, 0.5))
-        with pytest.raises(ValueError, match="tail_tol"):
-            series_payoff(params, TrustProfile(0.5, 0.5), tail_tol=0.0)
