@@ -8,76 +8,15 @@ reproduces the standard curves, and cross-checks every closed form against a
 turn-by-turn series and Monte Carlo play.
 """
 
-from .equilibrium import (
-    CurveSamples,
-    EquilibriumSolution,
-    SolverError,
-    reliability_curve,
-    residual_curve,
-    solve_equilibrium,
-    sweep_k,
-    sweep_n,
-)
-from .model import (
-    GameParams,
-    TrustProfile,
-    equilibrium_residual,
-    expected_payoff,
-    expected_payoff_large_n,
-    reliability_from_trust,
-    single_searcher_optimal_trust,
-    trust_decrease_threshold,
-)
-from .simulate import (
-    DEFAULT_MAX_TURNS,
-    RoundResult,
-    SimulationConfig,
-    SimulationReport,
-    estimate_payoff,
-    per_turn_share,
-    series_payoff,
-    simulate_round,
-)
-from .verify import (
-    BestResponseScan,
-    EquilibriumCheck,
-    ProbabilityMatchingReport,
-    best_response_scan,
-    check_equilibrium,
-    check_probability_matching,
-)
+from . import equilibrium, model, simulate, verify
+from .equilibrium import *  # noqa: F403
+from .model import *  # noqa: F403
+from .simulate import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BestResponseScan",
-    "CurveSamples",
-    "DEFAULT_MAX_TURNS",
-    "EquilibriumCheck",
-    "EquilibriumSolution",
-    "GameParams",
-    "ProbabilityMatchingReport",
-    "RoundResult",
-    "SimulationConfig",
-    "SimulationReport",
-    "SolverError",
-    "TrustProfile",
-    "best_response_scan",
-    "check_equilibrium",
-    "check_probability_matching",
-    "equilibrium_residual",
-    "estimate_payoff",
-    "expected_payoff",
-    "expected_payoff_large_n",
-    "per_turn_share",
-    "reliability_curve",
-    "reliability_from_trust",
-    "residual_curve",
-    "series_payoff",
-    "simulate_round",
-    "single_searcher_optimal_trust",
-    "solve_equilibrium",
-    "sweep_k",
-    "sweep_n",
-    "trust_decrease_threshold",
-]
+# Each module lists its public names once; the package re-exports them all.
+__all__ = sorted(
+    equilibrium.__all__ + model.__all__ + simulate.__all__ + verify.__all__
+)

@@ -97,6 +97,7 @@ def _cmd_curve_f(args) -> int:
 def _cmd_sweep_n(args) -> int:
     # Name a bad argument before building the grid from it.
     GameParams(args.n_from, args.k, args.p)
+    GameParams(args.n_to, args.k, args.p)
     if args.n_to < args.n_from:
         raise ValueError("--n-to must not be below --n-from")
     if args.log:
@@ -114,6 +115,7 @@ def _cmd_sweep_n(args) -> int:
 def _cmd_sweep_k(args) -> int:
     if args.k_to < args.k_from:
         raise ValueError("--k-to must not be below --k-from")
+    GameParams(args.n, args.k_to, args.p)  # name a bad --k-to before the range
     _print_curve(sweep_k(args.n, args.p, range(args.k_from, args.k_to + 1)))
     return 0
 

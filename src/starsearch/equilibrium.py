@@ -1,13 +1,14 @@
 """Equilibrium solver and curve sampling.
 
 Root finding runs on the reliability map rather than the raw residual: the
-map is strictly increasing on (1/(k+1), 1), so plain bisection inherits a
-correctness guarantee, whereas the residual has a second, spurious zero at
-q = 1. Curve samplers back the standard pictures: residual curves crossing
-zero at the equilibrium, the reliability map against the diagonal, and
-equilibrium-trust sweeps in the population size and the ray count. Curves
-evaluate the model's formulas once on the whole grid, and long sweeps bisect
-every point at once as numpy lanes of the same kernel.
+map is strictly increasing on (1/(k+1), 1), so its sign change on a fixed
+grid defines the answer uniquely, whereas the residual has a second,
+spurious zero at q = 1. Curve samplers back the standard pictures: residual
+curves crossing zero at the equilibrium, the reliability map against the
+diagonal, and equilibrium-trust sweeps in the population size and the ray
+count. Curves evaluate the model's formulas once on the whole grid, and long
+sweeps solve every point at once as numpy lanes of the same kernel and step
+rule.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from .model import (
     GameParams,
+    _as_count,
     _as_int,
     _as_probability,
     _reliability,
@@ -40,17 +42,21 @@ __all__ = [
     "sweep_k",
 ]
 
-# Offset of the bisection bracket from the open-interval endpoints, where the
+# Offset of the solver's bracket from the open-interval endpoints, where the
 # reliability map only attains its limits.
 _BRACKET_MARGIN = 1e-9
 
-# Default width of the final bisection bracket, shared by scalar and lane
-# solves so that both stop at the same bracket.
+# Default resolution of the solver's grid, shared by scalar and lane solves.
 _Q_TOL = 1e-12
+
+# Finest grid exponent (indices up to 2**1020 convert to doubles), and the
+# steps a solve may spend beyond plain bisection's count (see _probe).
+_MAX_BITS = 1020
+_FREE_STEPS = 12
 
 # Batches of at least this many solves run as numpy lanes; smaller ones are
 # cheaper as per-point scalar solves (the measured crossover).
-_LANE_MIN = 30
+_LANE_MIN = 16
 
 
 class SolverError(RuntimeError):
@@ -59,7 +65,12 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class EquilibriumSolution:
-    """Equilibrium trust plus solver diagnostics."""
+    """Equilibrium trust plus solver diagnostics.
+
+    q_bar equals bracket_hi, the upper end of the final grid cell.
+    iterations counts the sign-function evaluations after the two at the
+    ends of the initial bracket.
+    """
 
     q_bar: float
     residual: float
@@ -98,61 +109,99 @@ class CurveSamples:
 def solve_equilibrium(
     params: GameParams, q_tol: float = _Q_TOL
 ) -> EquilibriumSolution:
-    """Find the unique symmetric-equilibrium trust by bisection.
+    """Find the unique symmetric-equilibrium trust on a fixed dyadic grid.
 
-    Brackets [1/(k+1) + 1e-9, 1 - 1e-9] and halves until the bracket is
-    narrower than q_tol or at the resolution of the float grid, which ends
-    any bisection of that bracket within about 82 halvings. Deterministic:
-    identical inputs give bit-identical solutions.
-
-    The reported trust is the upper end of the final bracket. The bracket
-    always satisfies excess(lo) <= 0 < excess(hi) with a sign function that
-    is reliable down to the floating-point grid, so the true root lies in
-    (lo, hi] and the strict inequality q_bar > p survives rounding: for very
-    large populations the true gap can be far below double precision, and a
-    bracket midpoint would land on either side of p.
-
-    Raises SolverError if the bracket endpoints do not straddle the root
-    (possible only when p sits within about 1e-9 of its domain boundary).
+    The grid is the ends of [1/(k+1) + 1e-9, 1 - 1e-9] and the multiples of
+    2**-M between them, M the least exponent with 2**-M <= q_tol/4 (at most
+    _MAX_BITS). q_bar = bracket_hi is the first grid point where the excess
+    is positive, bracket_lo the one below it, so the root lies in (lo, hi] and
+    q_bar > p survives rounding. Where the grid is finer than the doubles
+    (above 1/16 from q_tol = 1e-16) the two are adjacent doubles. Only signs
+    at grid points decide the answer, so lanes equal scalar solves. Regula
+    falsi on grid indices, from the grid point just below p (_probe, _step),
+    takes at most M + _FREE_STEPS evaluations (54 at the default q_tol) and
+    typically 2 to 10. Raises SolverError if the bracket ends do not
+    straddle the root (only when p is within about 1e-9 of its bounds).
     """
     if not q_tol > 0.0:
         raise ValueError("q_tol must be positive")
     n, k, p = params.n, params.k, params.p
-    lo = 1.0 / (k + 1) + _BRACKET_MARGIN
-    hi = 1.0 - _BRACKET_MARGIN
-    f_lo = _reliability_excess(n, k, p, lo)
-    f_hi = _reliability_excess(n, k, p, hi)
-    if not (f_lo < 0.0 < f_hi):
+    bits, lo, jl, jh = _grid(k, q_tol)
+    scale, hi = 2.0**-bits, 1.0 - _BRACKET_MARGIN
+    fl, fh = _excess(n, k, p, lo), _excess(n, k, p, hi)
+    if not (fl < 0.0 < fh):
         raise _bracket_error(n, k, p, lo, hi)
-    # Aim a little below q_tol so the residual in reliability units also
-    # lands within q_tol (the map's slope stays of order one).
-    width_target = 0.25 * q_tol
+    guess, last, deadline = p / scale, 0, 1 << (bits + _FREE_STEPS - 1)
     iterations = 0
-    while hi - lo > width_target:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # bracket already at the resolution of the float grid
-        if _reliability_excess(n, k, p, mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
+    while jh - jl > 1 and math.nextafter(lo, 1.0) < hi:
+        jm = _probe(jl, jh, guess, deadline)
+        x = jm * scale
+        fm = _excess(n, k, p, x)
+        jl, jh, fl, fh, last, guess = _step(jl, jh, fl, fh, last, jm, fm)
+        lo, hi = (x, hi) if jl == jm else (lo, x)
+        deadline //= 2
         iterations += 1
-    q_bar = hi
-    residual = abs(reliability_from_trust(n, k, q_bar) - p)
-    e_residual = abs(equilibrium_residual(params, q_bar))
     return EquilibriumSolution(
-        q_bar=q_bar,
-        residual=residual,
-        e_residual=e_residual,
+        q_bar=hi,
+        residual=abs(reliability_from_trust(n, k, hi) - p),
+        e_residual=abs(equilibrium_residual(params, hi)),
         iterations=iterations,
         bracket_lo=lo,
         bracket_hi=hi,
     )
 
 
+def _grid(k, q_tol: float, xp=math):
+    """M, the bracket's lower end, and the indices of its two ends.
+
+    Grid point j is j * 2**-M strictly between the ends, which themselves
+    take the indices floor(lower * 2**M) and ceil(upper * 2**M). M does not
+    depend on k, so all lanes share it; with xp=numpy, k, the lower end and
+    its index are arrays.
+    """
+    bits = max(1 - math.frexp(max(0.25 * q_tol, 2.0**-_MAX_BITS))[1], 0)
+    lower = 1.0 / (k + 1.0) + _BRACKET_MARGIN
+    top = math.ceil((1.0 - _BRACKET_MARGIN) * 2.0**bits)
+    return bits, lower, xp.floor(lower * 2.0**bits), top
+
+
+def _excess(n, k, p: float, q, xp=math):
+    """The solver's sign function: _reliability_excess over 1 - q. Dividing
+    keeps the sign; the numerator alone vanishes at q = 1 and would pull the
+    first secants to the top of the bracket."""
+    return _reliability_excess(n, k, p, q, xp) / (1.0 - q)
+
+
+def _probe(jl, jh, guess, deadline, xp=math):
+    """Next grid index to probe, strictly inside (jl, jh): the real-valued
+    guess rounded down and clamped, or the midpoint where the bracket is
+    wider than deadline. The loops start deadline at 2**(M + _FREE_STEPS - 1)
+    and halve it each step, so the bracket never exceeds what bisection
+    begun _FREE_STEPS steps late would leave: at most M + _FREE_STEPS probes.
+    """
+    midpoint, bisect = jl + (jh - jl) // 2, jh - jl > deadline
+    if xp is math:
+        return midpoint if bisect else min(max(math.floor(guess), jl + 1), jh - 1)
+    return xp.where(bisect, midpoint, xp.clip(xp.floor(guess), jl + 1, jh - 1))
+
+
+def _step(jl, jh, fl, fh, last, jm, fm, xp=math):
+    """Bracket (jl, jh), end values fl <= 0 < fh, last end moved (+1 upper,
+    -1 lower) and next regula falsi guess after probing jm with value fm.
+    Illinois weighting: when one end moves twice in a row the other end's
+    value is halved (kept positive), so guesses cannot stall on one side.
+    """
+    where = (lambda c, a, b: a if c else b) if xp is math else xp.where
+    up, half = fm > 0.0, 0.5 * fh
+    jl, fl = where(up, jl, jm), where(up, where(last > 0, 0.5 * fl, fl), fm)
+    fh = where((last < 0) & (half > 0.0), half, fh)
+    jh, fh = where(up, jm, jh), where(up, fm, fh)
+    return jl, jh, fl, fh, where(up, 1, -1), jl + fl / (fl - fh) * (jh - jl) + 0.5
+
+
 def _bracket_error(n: int, k: int, p: float, lo: float, hi: float) -> SolverError:
     return SolverError(
-        "internal error: no sign change across the bisection bracket "
+        "internal error: no sign change across the solver's bracket "
         f"[{lo!r}, {hi!r}] for n={n}, k={k}, p={p!r}; "
         "p is too close to its domain boundary"
     )
@@ -161,32 +210,40 @@ def _bracket_error(n: int, k: int, p: float, lo: float, hi: float) -> SolverErro
 def _q_bars(ns: Sequence[int], ks: Sequence[int], p: float) -> list[float]:
     """solve_equilibrium(GameParams(n, k, p)).q_bar for each pair of ns, ks.
 
-    The caller validates the strictest pair. From _LANE_MIN pairs on, every
-    pair is a lane of one numpy bisection on the same excess kernel, bracket,
-    width target and float-grid stop as solve_equilibrium; a finished lane is
-    masked, so it stops where the scalar loop would, and each lane reports
-    its upper bracket end.
+    The caller validates the strictest pair. From _LANE_MIN pairs on, they
+    are lanes of one numpy solve with the same grid and step rule, so each
+    ends on its scalar solve's cell; finished lanes leave the arrays.
     """
     if len(ns) < _LANE_MIN:
         return [solve_equilibrium(GameParams(n, k, p)).q_bar for n, k in zip(ns, ks)]
-    n = np.array(ns, dtype=float)
-    k = np.array(ks, dtype=float)
-    lo = 1.0 / (k + 1.0) + _BRACKET_MARGIN
+    n, k = np.array(ns, dtype=float), np.array(ks, dtype=float)
+    bits, lo, jl, top = _grid(k, _Q_TOL, np)
+    scale, jh = 2.0**-bits, np.full_like(jl, top)
     hi = np.full_like(lo, 1.0 - _BRACKET_MARGIN)
-    straddles = (_reliability_excess(n, k, p, lo, np) < 0.0) & (
-        0.0 < _reliability_excess(n, k, p, hi, np)
-    )
+    fl, fh = _excess(n, k, p, lo, np), _excess(n, k, p, hi, np)
+    straddles = (fl < 0.0) & (0.0 < fh)
     if not straddles.all():
         i = int(np.argmin(straddles))
         raise _bracket_error(ns[i], ks[i], p, float(lo[i]), float(hi[i]))
+    q_bars, lane = hi.copy(), np.arange(len(ns))
+    guess, last = np.full_like(lo, p / scale), np.zeros_like(lo)
+    deadline = 1 << (bits + _FREE_STEPS - 1)
     while True:
-        mid = 0.5 * (lo + hi)
-        active = (hi - lo > 0.25 * _Q_TOL) & (lo < mid) & (mid < hi)
-        if not active.any():
-            return hi.tolist()
-        up = _reliability_excess(n, k, p, mid, np) > 0.0
-        hi = np.where(active & up, mid, hi)
-        lo = np.where(active & ~up, mid, lo)
+        done = (jh - jl <= 1) | (np.nextafter(lo, 1.0) >= hi)
+        if done.any():
+            q_bars[lane[done]] = hi[done]
+            if done.all():
+                return q_bars.tolist()
+            lane, n, k, jl, jh, lo, hi, fl, fh, last, guess = (
+                a[~done] for a in (lane, n, k, jl, jh, lo, hi, fl, fh, last, guess)
+            )
+        jm = _probe(jl, jh, guess, deadline, np)
+        x = jm * scale
+        jl, jh, fl, fh, last, guess = _step(
+            jl, jh, fl, fh, last, jm, _excess(n, k, p, x, np), np
+        )
+        lo, hi = np.where(jl == jm, x, lo), np.where(jh == jm, x, hi)
+        deadline //= 2
 
 
 def _uniform_grid(lo: float, hi: float, steps: int) -> list[float]:
@@ -213,8 +270,8 @@ def reliability_curve(
     n: int, k: int, q_lo: float, q_hi: float, steps: int
 ) -> CurveSamples:
     """Reliability map sampled on a uniform trust grid inside its open domain."""
-    n = _as_int(n, "n", 2)
-    k = _as_int(k, "k", 1)
+    n = _as_count(n, "n", 2)
+    k = _as_count(k, "k", 1)
     q_lo = _as_probability(q_lo, "q_lo")
     q_hi = _as_probability(q_hi, "q_hi")
     steps = _as_int(steps, "steps", 2)
@@ -229,6 +286,7 @@ def _sorted_unique(values: Iterable[int], name: str) -> list[int]:
     out = sorted(_as_int(v, name) for v in values)
     if not out:
         raise ValueError(f"{name} must not be empty")
+    _as_count(out[-1], name)  # only the largest entry can overflow a double
     if any(b == a for a, b in zip(out, out[1:])):
         raise ValueError(f"{name} must not contain duplicates")
     return out

@@ -16,27 +16,26 @@ a given turn with probability ``x`` when the pointer is right and with the
 per-ray complement ``(1 - x) / k`` when it is wrong.
 
 This module holds the parameter types and every closed form the solver,
-simulator and verifier build on: the focal searcher's expected share, its
-large-population limit, the equilibrium residual, the monotone map from
-equilibrium trust back to pointer reliability, the population size past which
-equilibrium trust starts falling, and the optimal trust of a lone searcher
-used as a baseline. Each closed form takes its powers (1 - x)^n and their
-complements from one exp/log1p kernel, so all of them keep full double
-accuracy at trusts near 0 or 1 and at any n. All functions are pure and
-safe to call concurrently.
+simulator and verifier build on: the focal searcher's expected share, the
+equilibrium residual, the monotone map from equilibrium trust back to pointer
+reliability, the population size past which equilibrium trust starts
+falling, and the optimal trust of a lone searcher used as a baseline. Each
+closed form takes its powers (1 - x)^n and their complements from one
+exp/log1p kernel, so all of them keep full double accuracy at trusts near 0
+or 1 and at any n. All functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 __all__ = [
     "GameParams",
     "TrustProfile",
     "expected_payoff",
-    "expected_payoff_large_n",
     "equilibrium_residual",
     "reliability_from_trust",
     "trust_decrease_threshold",
@@ -51,6 +50,17 @@ def _as_int(value, name: str, least: int | None = None) -> int:
         raise ValueError(f"{name} must be an integer") from None
     if least is not None and x < least:
         raise ValueError(f"{name} must be at least {least}")
+    return x
+
+
+_DOUBLE_MAX = sys.float_info.max
+
+
+def _as_count(value, name: str, least: int | None = None) -> int:
+    """A population or ray count: an integer the closed forms can use as a double."""
+    x = _as_int(value, name, least)
+    if x > _DOUBLE_MAX:
+        raise ValueError(f"{name} must fit in a double")
     return x
 
 
@@ -116,8 +126,8 @@ class GameParams:
     p: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _as_int(self.n, "n", 2))
-        object.__setattr__(self, "k", _as_int(self.k, "k", 1))
+        object.__setattr__(self, "n", _as_count(self.n, "n", 2))
+        object.__setattr__(self, "k", _as_count(self.k, "k", 1))
         object.__setattr__(self, "p", _as_reliability(self.p, self.k))
 
 
@@ -168,18 +178,6 @@ def expected_payoff(params: GameParams, profile: TrustProfile) -> float:
     return _payoff(params.n, params.k, params.p, profile.q, profile.r)
 
 
-def expected_payoff_large_n(params: GameParams, profile: TrustProfile) -> float:
-    """Large-population approximation (p*r/q + (1-p)(1-r)/(1-q)) / n.
-
-    Valid when someone is near-certain to land on the first turn, i.e. n
-    large and q not extreme.
-    """
-    n, p = params.n, params.p
-    q, r = profile.q, profile.r
-    _require_interior_q(q)
-    return (p * r / q + (1.0 - p) * (1.0 - r) / (1.0 - q)) / n
-
-
 def equilibrium_residual(params: GameParams, q: float) -> float:
     """Residual whose unique interior root is the symmetric equilibrium trust.
 
@@ -209,8 +207,8 @@ def reliability_from_trust(n: int, k: int, q: float) -> float:
     Only the open interval is accepted; the endpoint values are limits, not
     function values.
     """
-    n = _as_int(n, "n", 2)
-    k = _as_int(k, "k", 1)
+    n = _as_count(n, "n", 2)
+    k = _as_count(k, "k", 1)
     q = _as_probability(q, "q")
     if not 1.0 / (k + 1) < q < 1.0:
         raise ValueError("q must lie strictly inside (1/(k+1), 1)")
@@ -263,7 +261,7 @@ def trust_decrease_threshold(p: float, k: int) -> float:
     diverging as p approaches the 1/(k+1) signal floor. Below the threshold
     trust may move either way with n.
     """
-    k = _as_int(k, "k", 1)
+    k = _as_count(k, "k", 1)
     p = _as_reliability(p, k)
     if k == 1:
         return 3.0
@@ -277,7 +275,7 @@ def single_searcher_optimal_trust(p: float, k: int) -> float:
     (1 - (k+1)(1-p)), decreasing in k, undefined where the denominator
     vanishes at p = k/(k+1).
     """
-    k = _as_int(k, "k", 1)
+    k = _as_count(k, "k", 1)
     p = _as_reliability(p, k)
     denominator = 1.0 - (k + 1) * (1.0 - p)
     if denominator == 0.0:

@@ -51,9 +51,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import GameParams, TrustProfile, _as_int, _require_interior_q
+from .model import GameParams, TrustProfile, _as_count, _as_int, _require_interior_q
 
 __all__ = [
+    "DEFAULT_MAX_TURNS",
     "SimulationConfig",
     "SimulationReport",
     "RoundResult",
@@ -327,7 +328,7 @@ def per_turn_share(focal_p: float, other_p: float, n: int) -> float:
         raise ValueError("focal_p must lie in [0, 1]")
     if not 0.0 <= other_p <= 1.0:
         raise ValueError("other_p must lie in [0, 1]")
-    others = _as_int(n, "n", 2) - 1
+    others = _as_count(n, "n", 2) - 1
     miss = 1.0 - other_p
     anchor = math.floor(others * other_p)
     mass = chance = 1.0

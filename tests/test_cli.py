@@ -8,6 +8,8 @@ import pytest
 
 from starsearch.cli import dispatch
 
+HUGE = "1" + "0" * 400  # an integer past the largest double
+
 
 def run_cli(capsys, *args):
     code = dispatch(list(args))
@@ -46,6 +48,13 @@ class TestSolve:
         )
         payload = json.loads(out)
         assert payload["bracket_hi"] - payload["bracket_lo"] <= 1e-6
+
+    @pytest.mark.parametrize("argv,name", [
+        (["--n", HUGE, "--k", "1"], "n"), (["--n", "2", "--k", HUGE], "k"),
+    ])
+    def test_count_beyond_the_doubles_exits_two(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, "solve", *argv, "--p", "0.6")
+        assert (code, out, err) == (2, "", f"{name} must fit in a double\n")
 
     def test_ray_count_far_above_population(self, capsys):
         code, out, err = run_cli(
@@ -128,6 +137,14 @@ class TestSweeps:
         )
         assert code == 2
         assert "p must exceed 1/(k+1)" in err
+
+    @pytest.mark.parametrize("argv,name", [
+        (["sweep-n", "--k", "3", "--p", "0.6", "--n-from", "2", "--n-to", HUGE], "n"),
+        (["sweep-k", "--n", "5", "--p", "0.6", "--k-from", "1", "--k-to", HUGE], "k"),
+    ])
+    def test_sweep_end_beyond_the_doubles_exits_two(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"{name} must fit in a double\n")
 
 
 class TestSimulate:

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,11 +21,38 @@ from starsearch import (
     sweep_n,
     trust_decrease_threshold,
 )
-from starsearch.equilibrium import _LANE_MIN
+from starsearch.equilibrium import _FREE_STEPS, _LANE_MIN, _grid
+from starsearch.model import _reliability_excess
 
 
 def scalar_q_bar(n, k, p):
     return solve_equilibrium(GameParams(n, k, p)).q_bar
+
+
+def grid_bisection(n, k, p):
+    """q_bar by its definition: the first point where the excess is positive
+    among the multiples of 2**-42 (the largest power of two at most a
+    quarter of the default 1e-12 tolerance) inside [1/(k+1) + 1e-9,
+    1 - 1e-9] and that bracket's upper end, found by plain bisection on the
+    excess's sign alone."""
+    top = math.ceil((1 - 1e-9) * 2**42)
+    lo, hi = math.floor((1 / (k + 1.0) + 1e-9) * 2**42), top
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _reliability_excess(n, k, p, mid / 2**42) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi / 2**42 if hi < top else 1 - 1e-9
+
+
+def exact_excess(n, k, p, q):
+    """The excess numerator (1-p) q B A1 - p (1-q) A B1, in exact rationals."""
+    p, q = Fraction(p), Fraction(q)
+    other = (1 - q) / k
+    a, a1 = 1 - (1 - other) ** n, 1 - (1 - other) ** (n - 1)
+    b, b1 = 1 - (1 - q) ** n, 1 - (1 - q) ** (n - 1)
+    return (1 - p) * q * b * a1 - p * (1 - q) * a * b1
 
 
 def sign_changes(values):
@@ -96,6 +124,78 @@ class TestSolveEquilibrium:
             up = expected_payoff(params, TrustProfile(q_bar, q_bar + step))
             down = expected_payoff(params, TrustProfile(q_bar, q_bar - step))
             assert abs(up - down) / (2 * step) < 1e-5
+
+
+class TestGridAnswer:
+    """Scalar solves and lanes both end on the grid cell that defines q_bar,
+    whichever points they probed on the way."""
+
+    def test_sweep_n(self):
+        ns = range(2, 2002)
+        expected = tuple(grid_bisection(n, 3, 0.5) for n in ns)
+        assert sweep_n(3, 0.5, ns).ys == expected
+        assert tuple(scalar_q_bar(n, 3, 0.5) for n in ns) == expected
+
+    @pytest.mark.parametrize("k,p", [(1, 0.6), (3, 0.5), (10, 0.75)])
+    def test_log_spaced_sweep_to_a_million(self, k, p):
+        ns = sorted({int(round(n)) for n in np.geomspace(2, 1e6, 50)})
+        expected = tuple(grid_bisection(n, k, p) for n in ns)
+        assert sweep_n(k, p, ns).ys == expected
+        assert tuple(scalar_q_bar(n, k, p) for n in ns) == expected
+
+    @pytest.mark.parametrize("n,p,ks", [
+        (5, 0.9, range(1, 41)), (1000, 0.9, range(1, 41)),
+        (3, 0.6, range(10**9, 10**9 + 40)),
+    ])
+    def test_sweep_k(self, n, p, ks):
+        expected = tuple(grid_bisection(n, k, p) for k in ks)
+        assert sweep_k(n, p, ks).ys == expected
+        assert tuple(scalar_q_bar(n, k, p) for k in ks) == expected
+
+
+# Grid exponent M for each tolerance: the least M >= 0 with 2**-M <= q_tol / 4,
+# at most 1020.
+GRID_BITS = {
+    10.0: 0, 1e-3: 12, 1e-6: 22, 1e-12: 42, 1e-16: 56, 1e-300: 999, 5e-324: 1020,
+}
+
+EDGE_TRIPLES = [
+    (n, k, p)
+    for n in (2, 10**6)
+    for k in (1, 3, 10**30)
+    for p in (1 / (k + 1) + 1e-6, 0.5 * (1 / (k + 1) + 1), 1 - 1e-6)
+]
+
+
+class TestStepRule:
+    @pytest.mark.parametrize("q_tol", sorted(GRID_BITS))
+    def test_evaluations_within_the_bound_at_the_edges(self, q_tol):
+        bits = GRID_BITS[q_tol]
+        assert _grid(3, q_tol)[0] == bits
+        for n, k, p in EDGE_TRIPLES:
+            solution = solve_equilibrium(GameParams(n, k, p), q_tol=q_tol)
+            lo, hi = solution.bracket_lo, solution.bracket_hi
+            assert solution.iterations <= bits + _FREE_STEPS
+            assert solution.q_bar == hi > p
+            assert _reliability_excess(n, k, p, lo) <= 0.0
+            assert _reliability_excess(n, k, p, hi) > 0.0
+            adjacent = math.nextafter(lo, 1.0) == hi
+            assert adjacent or hi - lo <= q_tol / 4
+            if lo >= 2.0 ** (52 - bits):  # the grid holds every double here
+                assert adjacent
+
+    def test_exact_signs_at_the_final_bracket(self):
+        # excess(lo) <= 0 < excess(hi) in exact arithmetic proves that the
+        # root lies in (lo, hi].
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            n = int(rng.integers(2, 101))
+            k = int(rng.integers(1, 11))
+            floor = 1 / (k + 1)
+            p = floor + (1 - floor) * rng.uniform(0.02, 0.98)
+            solution = solve_equilibrium(GameParams(n, k, p))
+            assert exact_excess(n, k, p, solution.bracket_lo) <= 0
+            assert exact_excess(n, k, p, solution.bracket_hi) > 0
 
 
 class TestCurveSamples:
@@ -233,6 +333,12 @@ class TestSweeps:
     def test_sweep_k_rejects_invalid_entry(self):
         with pytest.raises(ValueError, match=r"p must exceed 1/\(k\+1\)"):
             sweep_k(5, 0.3, [1])
+
+    def test_entries_beyond_the_doubles_rejected(self):
+        with pytest.raises(ValueError, match="^n_values must fit in a double$"):
+            sweep_n(3, 0.5, [2, 10**400])
+        with pytest.raises(ValueError, match="^k_values must fit in a double$"):
+            sweep_k(5, 0.6, [1, 10**400])
 
 
 class TestLaneSolver:

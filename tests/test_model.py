@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,6 @@ from starsearch import (
     TrustProfile,
     equilibrium_residual,
     expected_payoff,
-    expected_payoff_large_n,
     reliability_from_trust,
     single_searcher_optimal_trust,
     solve_equilibrium,
@@ -60,6 +60,24 @@ class TestGameParams:
     def test_non_integer_n_rejected(self):
         with pytest.raises(ValueError, match="n must be an integer"):
             GameParams(2.5, 3, 0.5)
+
+    def test_counts_beyond_the_doubles_rejected(self):
+        # The closed forms compute with n and k as doubles.
+        huge = 10**400
+        with pytest.raises(ValueError, match="^n must fit in a double$"):
+            GameParams(huge, 3, 0.5)
+        with pytest.raises(ValueError, match="^k must fit in a double$"):
+            GameParams(5, huge, 0.5)
+        with pytest.raises(ValueError, match="^n must fit in a double$"):
+            reliability_from_trust(huge, 3, 0.5)
+        with pytest.raises(ValueError, match="^k must fit in a double$"):
+            reliability_from_trust(5, huge, 0.5)
+
+    def test_largest_counts_that_fit_solve(self):
+        largest = int(sys.float_info.max)
+        for n, k in ((largest, 1), (2, largest), (largest, largest)):
+            solution = solve_equilibrium(GameParams(n, k, 0.6))
+            assert solution.q_bar > 0.6
 
 
 class TestTrustProfile:
@@ -193,26 +211,6 @@ class TestExpectedPayoff:
     def test_payoff_is_a_probability_share(self, n, k, u, q, r):
         payoff = expected_payoff(make_params(n, k, u), TrustProfile(q, r))
         assert 0.0 <= payoff <= 1.0
-
-
-class TestLargeNApproximation:
-    def test_symmetric_profile_is_exact(self):
-        params = GameParams(37, 4, 0.6)
-        assert expected_payoff_large_n(params, TrustProfile(0.3, 0.3)) == pytest.approx(
-            1 / 37, abs=1e-12
-        )
-
-    def test_matched_trust_direct_value(self):
-        params = GameParams(1000, 3, 0.5)
-        value = expected_payoff_large_n(params, TrustProfile(0.5, 0.6))
-        assert value == pytest.approx(0.001, abs=1e-15)
-
-    def test_agrees_with_exact_at_large_n(self):
-        params = GameParams(10**4, 3, 0.5)
-        profile = TrustProfile(0.55, 0.55)
-        approx = expected_payoff_large_n(params, profile)
-        exact = expected_payoff(params, profile)
-        assert abs(approx - exact) / exact < 0.01
 
 
 class TestEquilibriumResidual:
