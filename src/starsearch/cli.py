@@ -10,11 +10,13 @@ fails or the solver reports an internal error, 2 for invalid parameters.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
 from .equilibrium import (
+    _Q_TOL,
     SolverError,
     reliability_curve,
     residual_curve,
@@ -29,6 +31,17 @@ from .verify import best_response_scan
 __all__ = ["dispatch", "main"]
 
 _LOG_SWEEP_POINTS = 50
+
+# Options that several subcommands take, each declared once: flag -> (type, help).
+_SHARED = {
+    "--n": (int, "searchers (e.g. 5)"),
+    "--k": (int, "non-treasure rays (e.g. 3)"),
+    "--p": (float, "pointer reliability"),
+    "--q": (float, "population trust"),
+    "--q-min": (float, "lowest trust sampled"),
+    "--q-max": (float, "highest trust sampled"),
+    "--steps": (int, "grid points, both ends included"),
+}
 
 
 def _fmt(x: float) -> str:
@@ -59,25 +72,17 @@ def _json_field(key: str, value) -> str:
     return f'"{key}": "{escaped}"'
 
 
-def _print_json(pairs: list[tuple[str, object]]) -> None:
-    body = ", ".join(_json_field(k, v) for k, v in pairs)
-    print("{" + body + "}")
+def _print_json(fields: dict[str, object]) -> None:
+    print("{" + ", ".join(_json_field(k, v) for k, v in fields.items()) + "}")
 
 
 def _cmd_solve(args) -> int:
-    params = GameParams(args.n, args.k, args.p)
-    sol = solve_equilibrium(params, q_tol=args.tol)
-    fields = [
-        ("q_bar", sol.q_bar),
-        ("residual", sol.residual),
-        ("e_residual", sol.e_residual),
-        ("iterations", sol.iterations),
-        ("bracket_lo", sol.bracket_lo),
-        ("bracket_hi", sol.bracket_hi),
-    ]
+    sol = solve_equilibrium(GameParams(args.n, args.k, args.p), q_tol=args.tol)
+    fields = dataclasses.asdict(sol)
     if args.format == "csv":
-        print(",".join(key for key, _ in fields))
-        print(",".join(_fmt(v) if isinstance(v, float) else str(v) for _, v in fields))
+        values = (_fmt(v) if isinstance(v, float) else str(v) for v in fields.values())
+        print(",".join(fields))
+        print(",".join(values))
     else:
         _print_json(fields)
     return 0
@@ -95,19 +100,19 @@ def _cmd_curve_f(args) -> int:
 
 
 def _cmd_sweep_n(args) -> int:
+    lo, hi = args.n_from, args.n_to
     # Name a bad argument before building the grid from it.
-    GameParams(args.n_from, args.k, args.p)
-    GameParams(args.n_to, args.k, args.p)
-    if args.n_to < args.n_from:
+    GameParams(lo, args.k, args.p)
+    GameParams(hi, args.k, args.p)
+    if hi < lo:
         raise ValueError("--n-to must not be below --n-from")
+    values = range(lo, hi + 1)
     if args.log:
-        points = min(_LOG_SWEEP_POINTS, args.n_to - args.n_from + 1)
-        grid = np.unique(
-            np.rint(np.geomspace(args.n_from, args.n_to, num=points)).astype(int)
-        )
-        values = [int(v) for v in grid]
-    else:
-        values = list(range(args.n_from, args.n_to + 1))
+        # Spaced in floats, as the ends may not fit a numpy integer, and
+        # clamped, as a rounded end may fall outside the range.
+        points = min(_LOG_SWEEP_POINTS, hi - lo + 1)
+        grid = np.geomspace(float(lo), float(hi), num=points)
+        values = sorted({min(max(round(v), lo), hi) for v in grid.tolist()})
     _print_curve(sweep_n(args.k, args.p, values))
     return 0
 
@@ -115,33 +120,18 @@ def _cmd_sweep_n(args) -> int:
 def _cmd_sweep_k(args) -> int:
     if args.k_to < args.k_from:
         raise ValueError("--k-to must not be below --k-from")
-    GameParams(args.n, args.k_to, args.p)  # name a bad --k-to before the range
+    # Name a bad argument before building the range from it.
+    GameParams(args.n, args.k_to, args.p)
+    GameParams(args.n, args.k_from, args.p)
     _print_curve(sweep_k(args.n, args.p, range(args.k_from, args.k_to + 1)))
     return 0
 
 
 def _cmd_simulate(args) -> int:
     params = GameParams(args.n, args.k, args.p)
-    r = args.q if args.r is None else args.r
-    config = SimulationConfig(
-        params=params,
-        profile=TrustProfile(args.q, r),
-        rounds=args.rounds,
-        seed=args.seed,
-        max_turns=args.max_turns,
-    )
-    report = estimate_payoff(config)
-    _print_json(
-        [
-            ("rounds_completed", report.rounds_completed),
-            ("capped_rounds", report.capped_rounds),
-            ("focal_mean_payoff", report.focal_mean_payoff),
-            ("focal_std_error", report.focal_std_error),
-            ("mean_finish_turn", report.mean_finish_turn),
-            ("seed_echo", report.seed_echo),
-            ("warning", report.warning),
-        ]
-    )
+    profile = TrustProfile(args.q, args.q if args.r is None else args.r)
+    config = SimulationConfig(params, profile, args.rounds, args.seed, args.max_turns)
+    _print_json(dataclasses.asdict(estimate_payoff(config)))
     return 0
 
 
@@ -149,10 +139,8 @@ def _cmd_best_response(args) -> int:
     params = GameParams(args.n, args.k, args.p)
     scan = best_response_scan(params, args.q, r_steps=args.steps)
     _print_csv("r,payoff", scan.grid)
-    print(
-        f"argmax_r={_fmt(scan.argmax_r)} max_payoff={_fmt(scan.max_payoff)}",
-        file=sys.stderr,
-    )
+    summary = f"argmax_r={_fmt(scan.argmax_r)} max_payoff={_fmt(scan.max_payoff)}"
+    print(summary, file=sys.stderr)
     return 0
 
 
@@ -181,82 +169,52 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="solve for the equilibrium trust")
-    solve.add_argument("--n", type=int, required=True, help="searchers (e.g. 5)")
-    solve.add_argument("--k", type=int, required=True, help="non-treasure rays (e.g. 3)")
-    solve.add_argument("--p", type=float, required=True, help="pointer reliability")
-    solve.add_argument("--tol", type=float, default=1e-12, help="bracket tolerance")
-    solve.add_argument("--format", choices=("csv", "json"), default="json")
-    solve.set_defaults(handler=_cmd_solve)
+    # A subcommand names the shared options it takes; each is required
+    # unless given a default here.
+    def command(name, summary, handler, shared="", **defaults):
+        cmd = sub.add_parser(name, help=summary)
+        for flag in shared.split():
+            kind, text = _SHARED[flag]
+            dest = flag[2:].replace("-", "_")
+            cmd.add_argument(flag, type=kind, help=text, required=dest not in defaults,
+                             default=defaults.get(dest))
+        cmd.set_defaults(handler=handler)
+        return cmd
 
-    curve_e = sub.add_parser("curve-e", help="sample the equilibrium residual")
-    curve_e.add_argument("--n", type=int, required=True)
-    curve_e.add_argument("--k", type=int, required=True)
-    curve_e.add_argument("--p", type=float, required=True)
-    curve_e.add_argument("--q-min", type=float, required=True)
-    curve_e.add_argument("--q-max", type=float, required=True)
-    curve_e.add_argument("--steps", type=int, required=True)
-    curve_e.set_defaults(handler=_cmd_curve_e)
-
-    curve_f = sub.add_parser("curve-f", help="sample the trust-to-reliability map")
-    curve_f.add_argument("--n", type=int, required=True)
-    curve_f.add_argument("--k", type=int, required=True)
-    curve_f.add_argument("--q-min", type=float, required=True)
-    curve_f.add_argument("--q-max", type=float, required=True)
-    curve_f.add_argument("--steps", type=int, required=True)
-    curve_f.set_defaults(handler=_cmd_curve_f)
-
-    sweep_n_cmd = sub.add_parser("sweep-n", help="equilibrium trust by population")
-    sweep_n_cmd.add_argument("--k", type=int, required=True)
-    sweep_n_cmd.add_argument("--p", type=float, required=True)
-    sweep_n_cmd.add_argument("--n-from", type=int, required=True)
-    sweep_n_cmd.add_argument("--n-to", type=int, required=True)
-    sweep_n_cmd.add_argument(
-        "--log", action="store_true", help="log-spaced n values instead of every n"
-    )
-    sweep_n_cmd.set_defaults(handler=_cmd_sweep_n)
-
-    sweep_k_cmd = sub.add_parser("sweep-k", help="equilibrium trust by ray count")
-    sweep_k_cmd.add_argument("--n", type=int, required=True)
-    sweep_k_cmd.add_argument("--p", type=float, required=True)
-    sweep_k_cmd.add_argument("--k-from", type=int, required=True)
-    sweep_k_cmd.add_argument("--k-to", type=int, required=True)
-    sweep_k_cmd.set_defaults(handler=_cmd_sweep_k)
-
-    simulate = sub.add_parser("simulate", help="Monte Carlo payoff estimate")
-    simulate.add_argument("--n", type=int, required=True)
-    simulate.add_argument("--k", type=int, required=True)
-    simulate.add_argument("--p", type=float, required=True)
-    simulate.add_argument("--q", type=float, required=True, help="population trust")
-    simulate.add_argument(
-        "--r", type=float, default=None, help="focal trust (defaults to --q)"
-    )
-    simulate.add_argument("--rounds", type=int, required=True)
-    simulate.add_argument("--seed", type=int, required=True)
-    simulate.add_argument("--max-turns", type=int, default=DEFAULT_MAX_TURNS)
-    simulate.set_defaults(handler=_cmd_simulate)
-
-    best = sub.add_parser("best-response", help="scan deviations against fixed trust")
-    best.add_argument("--n", type=int, required=True)
-    best.add_argument("--k", type=int, required=True)
-    best.add_argument("--p", type=float, required=True)
-    best.add_argument("--q", type=float, required=True)
-    best.add_argument("--steps", type=int, default=2001)
-    best.set_defaults(handler=_cmd_best_response)
-
-    verify = sub.add_parser("verify", help="run the acceptance suite")
-    verify.add_argument(
-        "--quick", action="store_true", help="smaller grids and Monte Carlo sizes"
-    )
-    verify.set_defaults(handler=_cmd_verify)
-
-    single = sub.add_parser(
-        "single-searcher", help="optimal trust of a lone searcher (baseline)"
-    )
-    single.add_argument("--p", type=float, required=True)
-    single.add_argument("--k", type=int, required=True)
-    single.set_defaults(handler=_cmd_single_searcher)
-
+    solve = command("solve", "solve for the equilibrium trust", _cmd_solve,
+                    "--n --k --p")
+    solve.add_argument("--tol", type=float, default=_Q_TOL, help="bracket tolerance")
+    solve.add_argument("--format", choices=("csv", "json"), default="json",
+                       help="output format")
+    command("curve-e", "sample the equilibrium residual", _cmd_curve_e,
+            "--n --k --p --q-min --q-max --steps")
+    command("curve-f", "sample the trust-to-reliability map", _cmd_curve_f,
+            "--n --k --q-min --q-max --steps")
+    by_n = command("sweep-n", "equilibrium trust by population", _cmd_sweep_n,
+                   "--k --p")
+    by_n.add_argument("--n-from", type=int, required=True, help="smallest n")
+    by_n.add_argument("--n-to", type=int, required=True, help="largest n")
+    by_n.add_argument("--log", action="store_true",
+                      help="log-spaced n values instead of every n")
+    by_k = command("sweep-k", "equilibrium trust by ray count", _cmd_sweep_k,
+                   "--n --p")
+    by_k.add_argument("--k-from", type=int, required=True, help="smallest k")
+    by_k.add_argument("--k-to", type=int, required=True, help="largest k")
+    simulate = command("simulate", "Monte Carlo payoff estimate", _cmd_simulate,
+                       "--n --k --p --q")
+    simulate.add_argument("--r", type=float, help="focal trust (defaults to --q)")
+    simulate.add_argument("--rounds", type=int, required=True, help="rounds played")
+    simulate.add_argument("--seed", type=int, required=True,
+                          help="random seed, 0 to 2**64-1")
+    simulate.add_argument("--max-turns", type=int, default=DEFAULT_MAX_TURNS,
+                          help="turns before a round is capped and scores 0")
+    command("best-response", "scan deviations against fixed trust",
+            _cmd_best_response, "--n --k --p --q --steps", steps=2001)
+    verify = command("verify", "run the acceptance suite", _cmd_verify)
+    verify.add_argument("--quick", action="store_true",
+                        help="smaller grids and Monte Carlo sizes")
+    command("single-searcher", "optimal trust of a lone searcher (baseline)",
+            _cmd_single_searcher, "--p --k")
     return parser
 
 

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +9,14 @@ from pathlib import Path
 import pytest
 
 from starsearch.cli import dispatch
+from starsearch.equilibrium import EquilibriumSolution
+from starsearch.simulate import SimulationReport
 
 HUGE = "1" + "0" * 400  # an integer past the largest double
+SUBCOMMANDS = (
+    "solve", "curve-e", "curve-f", "sweep-n", "sweep-k", "simulate",
+    "best-response", "verify", "single-searcher",
+)
 
 
 def run_cli(capsys, *args):
@@ -41,6 +49,14 @@ class TestSolve:
         assert code == 2
         assert out == ""
         assert "p must exceed 1/(k+1)" in err
+
+    def test_fields_follow_the_dataclass(self, capsys):
+        names = [field.name for field in dataclasses.fields(EquilibriumSolution)]
+        argv = ("solve", "--n", "5", "--k", "3", "--p", "0.5")
+        _, out, _ = run_cli(capsys, *argv)
+        assert list(json.loads(out)) == names
+        _, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert out.splitlines()[0] == ",".join(names)
 
     def test_custom_tolerance(self, capsys):
         code, out, _ = run_cli(
@@ -138,6 +154,27 @@ class TestSweeps:
         assert code == 2
         assert "p must exceed 1/(k+1)" in err
 
+    @pytest.mark.parametrize("n_to", ["10000000000000000000", "100000000000000000000"])
+    def test_sweep_n_log_past_int64(self, capsys, n_to):
+        code, out, err = run_cli(
+            capsys, "sweep-n", "--k", "3", "--p", "0.5",
+            "--n-from", "2", "--n-to", n_to, "--log",
+        )
+        assert (code, err) == (0, "")
+        ns = [float(line.split(",")[0]) for line in out.strip().splitlines()[1:]]
+        assert ns[0] == 2 and ns[-1] == float(n_to)
+        assert len(ns) <= 50
+        assert all(b > a for a, b in zip(ns, ns[1:]))
+
+    def test_sweep_k_far_below_one_exits_two_at_once(self, capsys):
+        # The start is checked before the range is built: building this one
+        # would not finish.
+        code, out, err = run_cli(
+            capsys, "sweep-k", "--n", "5", "--p", "0.6",
+            "--k-from", "-1000000000000", "--k-to", "5",
+        )
+        assert (code, out, err) == (2, "", "k must be at least 1\n")
+
     @pytest.mark.parametrize("argv,name", [
         (["sweep-n", "--k", "3", "--p", "0.6", "--n-from", "2", "--n-to", HUGE], "n"),
         (["sweep-k", "--n", "5", "--p", "0.6", "--k-from", "1", "--k-to", HUGE], "k"),
@@ -163,6 +200,15 @@ class TestSimulate:
         assert payload["capped_rounds"] == 0
         assert payload["warning"] is None
         assert abs(payload["focal_mean_payoff"] - 0.5) < 5 * payload["focal_std_error"]
+
+    def test_fields_follow_the_dataclass(self, capsys):
+        _, out, _ = run_cli(
+            capsys, "simulate", "--n", "2", "--k", "1", "--p", "0.6667",
+            "--q", "0.7", "--rounds", "100", "--seed", "1",
+        )
+        assert list(json.loads(out)) == [
+            field.name for field in dataclasses.fields(SimulationReport)
+        ]
 
     def test_focal_trust_defaults_to_population(self, capsys):
         shared = ("--n", "2", "--k", "1", "--p", "0.6667", "--rounds", "2000",
@@ -225,6 +271,33 @@ class TestSingleSearcher:
         )
         assert code == 2
         assert "k/(k+1)" in err
+
+
+def option_help(capsys, command):
+    """Each option of a subcommand's --help, mapped to its help text."""
+    with pytest.raises(SystemExit):
+        dispatch([command, "--help"])
+    options = capsys.readouterr().out.split("options:\n")[1]
+    # Within an entry only the help text is set off by two or more spaces.
+    entries = re.split(r"\n  (?=-)", options)
+    entries = [entry.strip().partition("  ") for entry in entries]
+    return {usage.split()[0]: " ".join(text.split()) for usage, _, text in entries}
+
+
+class TestHelp:
+    def test_every_option_has_help_and_shared_ones_the_same(self, capsys):
+        texts = {}
+        for command in SUBCOMMANDS:
+            for flag, text in option_help(capsys, command).items():
+                texts.setdefault(flag, []).append(text)
+        assert all(all(seen) for seen in texts.values()), texts
+        shared = {flag: set(seen) for flag, seen in texts.items() if len(seen) > 1}
+        del shared["-h,"]
+        assert set(shared) == {
+            "--n", "--k", "--p", "--q", "--q-min", "--q-max", "--steps",
+        }
+        for flag, seen in shared.items():
+            assert len(seen) == 1, (flag, seen)
 
 
 class TestVerify:
