@@ -9,10 +9,10 @@ response trichotomy, uniqueness of the residual root, and byte determinism of
 the command line.
 
 Each check is registered in order by the _criterion decorator, which times
-it, applies its wall-time budget if it has one, and returns a
-CriterionResult; run_all executes them in order. quick mode shrinks the
-random grids and Monte Carlo sizes for a fast smoke run and is not the
-normative configuration.
+it, combines the verdicts it yields, applies its wall-time budget if it has
+one, and returns a CriterionResult; run_all executes them in order. quick
+mode shrinks the random grids and Monte Carlo sizes for a fast smoke run and
+is not the normative configuration.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import os
 import subprocess
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,9 +55,10 @@ _CRITERIA = []
 def _criterion(name: str, budget_s: float | None = None):
     """Register a check as the next numbered criterion.
 
-    The check maps quick to (passed, detail). The criterion times it; with a
-    budget it fails at budget_s seconds or more, and its detail ends with
-    the total time.
+    The check maps quick to the (passed, detail) verdicts it yields, one per
+    case. The criterion times it and passes when every verdict does, with
+    the details joined by "; "; with a budget it fails at budget_s seconds
+    or more, and its detail ends with the total time.
     """
 
     def register(check):
@@ -64,8 +66,10 @@ def _criterion(name: str, budget_s: float | None = None):
 
         def criterion(quick: bool = False) -> CriterionResult:
             start = time.perf_counter()
-            passed, detail = check(quick)
+            verdicts = list(check(quick))
             elapsed = time.perf_counter() - start
+            passed = all(ok for ok, _ in verdicts)
+            detail = "; ".join(text for _, text in verdicts)
             if budget_s is not None:
                 passed = passed and elapsed < budget_s
                 detail += f"; total {elapsed:.2f}s"
@@ -90,11 +94,9 @@ def _random_game(
 
 
 @_criterion("figure roots")
-def criterion_1(quick: bool) -> tuple[bool, str]:
+def criterion_1(quick: bool) -> Iterator[tuple[bool, str]]:
     """Solved roots match the known two-decimal values, under 1 ms each."""
     cases = [(0.5, 0.53), (2.0 / 3.0, 0.70), (3.0 / 4.0, 0.78)]
-    ok = True
-    details = []
     solve_equilibrium(GameParams(5, 3, 0.5))  # warm-up outside the timing
     for p, expected in cases:
         params = GameParams(5, 3, p)
@@ -103,13 +105,13 @@ def criterion_1(quick: bool) -> tuple[bool, str]:
             t0 = time.perf_counter()
             solution = solve_equilibrium(params)
             best = min(best, time.perf_counter() - t0)
-        ok = ok and abs(solution.q_bar - expected) <= 0.005 and best < 1e-3
-        details.append(f"p={p:.4f}: q_bar={solution.q_bar:.4f} in {best * 1e6:.0f}us")
-    return ok, "; ".join(details)
+        yield abs(solution.q_bar - expected) <= 0.005 and best < 1e-3, (
+            f"p={p:.4f}: q_bar={solution.q_bar:.4f} in {best * 1e6:.0f}us"
+        )
 
 
 @_criterion("symmetric payoff identity")
-def criterion_2(quick: bool) -> tuple[bool, str]:
+def criterion_2(quick: bool) -> Iterator[tuple[bool, str]]:
     """Symmetric profile pays exactly 1/n to within 1e-12."""
     rng = np.random.default_rng(1002)
     count = 120 if quick else 500
@@ -119,11 +121,11 @@ def criterion_2(quick: bool) -> tuple[bool, str]:
         q = float(rng.uniform(0.01, 0.99))
         payoff = expected_payoff(params, TrustProfile(q, q))
         worst = max(worst, abs(payoff - 1.0 / params.n))
-    return worst <= 1e-12, f"max |payoff - 1/n| = {worst:.3e} over {count} tuples"
+    yield worst <= 1e-12, f"max |payoff - 1/n| = {worst:.3e} over {count} tuples"
 
 
 @_criterion("trust exceeds reliability")
-def criterion_3(quick: bool) -> tuple[bool, str]:
+def criterion_3(quick: bool) -> Iterator[tuple[bool, str]]:
     """Equilibrium trust strictly exceeds reliability; zero violations."""
     rng = np.random.default_rng(1003)
     count = 100 if quick else 300
@@ -135,47 +137,39 @@ def criterion_3(quick: bool) -> tuple[bool, str]:
         smallest = min(smallest, gap)
         if gap <= 0.0:
             violations += 1
-    return violations == 0, (
+    yield violations == 0, (
         f"{violations} violations over {count} triples; smallest gap {smallest:.3e}"
     )
 
 
 @_criterion("eventually decreasing in n", budget_s=10.0)
-def criterion_4(quick: bool) -> tuple[bool, str]:
+def criterion_4(quick: bool) -> Iterator[tuple[bool, str]]:
     """Trust strictly decreasing past the threshold and converging, under 10 s."""
-    ok = True
-    details = []
     for k, p in ((1, 0.9), (3, 0.5), (10, 0.75)):
         first = math.ceil(trust_decrease_threshold(p, k)) + 1
         values = sweep_n(k, p, range(first, first + 50)).ys
         strictly_down = all(b < a for a, b in zip(values, values[1:]))
         limit_gap = solve_equilibrium(GameParams(100_000, k, p)).q_bar - p
-        ok = ok and strictly_down and abs(limit_gap) < 1e-3
-        details.append(
+        yield strictly_down and abs(limit_gap) < 1e-3, (
             f"k={k},p={p}: n={first}..{first + 49} "
             f"{'down' if strictly_down else 'NOT down'}, gap(1e5)={limit_gap:.2e}"
         )
-    return ok, "; ".join(details)
 
 
 @_criterion("increasing in k")
-def criterion_5(quick: bool) -> tuple[bool, str]:
+def criterion_5(quick: bool) -> Iterator[tuple[bool, str]]:
     """Equilibrium trust strictly increasing in the ray count."""
-    ok = True
-    details = []
     for n, p in ((5, 0.6), (20, 0.51)):
         values = sweep_k(n, p, range(1, 11)).ys
         increasing = all(b > a for a, b in zip(values, values[1:]))
-        ok = ok and increasing
-        details.append(
+        yield increasing, (
             f"n={n},p={p}: {'up' if increasing else 'NOT up'} "
             f"({values[0]:.4f}..{values[-1]:.4f})"
         )
-    return ok, "; ".join(details)
 
 
 @_criterion("oracle triangle", budget_s=60.0)
-def criterion_6(quick: bool) -> tuple[bool, str]:
+def criterion_6(quick: bool) -> Iterator[tuple[bool, str]]:
     """Series, closed form and Monte Carlo agree on a random tuple grid, under 60 s."""
     rng = np.random.default_rng(1006)
     count = 12 if quick else 50
@@ -197,18 +191,16 @@ def criterion_6(quick: bool) -> tuple[bool, str]:
         z = abs(report.focal_mean_payoff - exact) / report.focal_std_error
         worst_z = max(worst_z, z)
         ok = ok and series_gap < 1e-10 and z < 4.0 and not report.capped_rounds
-    return ok, (
+    yield ok, (
         f"{count} tuples x {rounds} rounds: max series gap {worst_series:.2e}, "
         f"max |z| {worst_z:.2f}"
     )
 
 
 @_criterion("equilibrium verification")
-def criterion_7(quick: bool) -> tuple[bool, str]:
+def criterion_7(quick: bool) -> Iterator[tuple[bool, str]]:
     """Brute-force equilibrium verification at the reference instances."""
     rounds = 100_000 if quick else 1_000_000
-    ok = True
-    details = []
     for i, (n, k, p) in enumerate(
         ((5, 3, 0.5), (5, 3, 2.0 / 3.0), (5, 3, 0.75), (2, 1, 2.0 / 3.0))
     ):
@@ -222,17 +214,15 @@ def criterion_7(quick: bool) -> tuple[bool, str]:
         )
         z = abs(report.focal_mean_payoff - 1.0 / n) / report.focal_std_error
         case_ok = check.passed and z < 3.0
-        ok = ok and case_ok
-        details.append(
+        yield case_ok, (
             f"({n},{k},{p:.3f}): q_bar={q_bar:.4f} "
             f"excess={check.best_payoff_excess:.1e} z={z:.2f}"
             + ("" if case_ok else " FAIL")
         )
-    return ok, "; ".join(details)
 
 
 @_criterion("best-response trichotomy")
-def criterion_8(quick: bool) -> tuple[bool, str]:
+def criterion_8(quick: bool) -> Iterator[tuple[bool, str]]:
     """Large-population best response: all-or-nothing away from matching."""
     params = GameParams(1000, 3, 0.5)
     step = 1.0 / 2000
@@ -240,7 +230,7 @@ def criterion_8(quick: bool) -> tuple[bool, str]:
     low = best_response_scan(params, 0.4).argmax_r
     matched = best_response_scan(params, 0.5).argmax_r
     ok = high == 0.0 and low == 1.0 and abs(matched - 0.5) <= step
-    return ok, f"argmax(q=0.6)={high}, argmax(q=0.4)={low}, argmax(q=0.5)={matched}"
+    yield ok, f"argmax(q=0.6)={high}, argmax(q=0.4)={low}, argmax(q=0.5)={matched}"
 
 
 def _sign_changes(values: tuple[float, ...]) -> int:
@@ -249,7 +239,7 @@ def _sign_changes(values: tuple[float, ...]) -> int:
 
 
 @_criterion("unique residual root")
-def criterion_9(quick: bool) -> tuple[bool, str]:
+def criterion_9(quick: bool) -> Iterator[tuple[bool, str]]:
     """The residual has exactly one interior sign change, at the solved root."""
     rng = np.random.default_rng(1009)
     count = 60 if quick else 200
@@ -271,7 +261,7 @@ def criterion_9(quick: bool) -> tuple[bool, str]:
         spacing = (hi - lo) / 1999
         if abs(crossing - solve_equilibrium(params).q_bar) > spacing:
             bad += 1
-    return bad == 0, f"{bad} of {count} grids failed the single-crossing check"
+    yield bad == 0, f"{bad} of {count} grids failed the single-crossing check"
 
 
 def _cli_bytes(args: list[str]) -> bytes:
@@ -289,7 +279,7 @@ def _cli_bytes(args: list[str]) -> bytes:
 
 
 @_criterion("byte determinism")
-def criterion_10(quick: bool) -> tuple[bool, str]:
+def criterion_10(quick: bool) -> Iterator[tuple[bool, str]]:
     """Repeated CLI invocations produce byte-identical output."""
     rounds = "20000" if quick else "100000"
     simulate_args = [
@@ -299,7 +289,7 @@ def criterion_10(quick: bool) -> tuple[bool, str]:
     solve_args = ["solve", "--n", "5", "--k", "3", "--p", "0.5"]
     sim_same = _cli_bytes(simulate_args) == _cli_bytes(simulate_args)
     solve_same = _cli_bytes(solve_args) == _cli_bytes(solve_args)
-    return sim_same and solve_same, (
+    yield sim_same and solve_same, (
         f"simulate identical: {sim_same}; solve identical: {solve_same}"
     )
 

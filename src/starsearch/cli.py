@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Data goes to stdout (CSV for curves and sweeps, JSON for reports),
-diagnostics to stderr. Reals are printed with 17 significant digits so that
-every value parses back to the exact double, and identical invocations
-produce byte-identical output. Exit codes: 0 on success, 1 when verification
-fails or the solver reports an internal error, 2 for invalid parameters.
+diagnostics to stderr. Integers are printed exactly and reals with 17
+significant digits, so that every value parses back to the exact number, and
+identical invocations produce byte-identical output. Exit codes: 0 on
+success, 1 when verification fails or the solver reports an internal error,
+2 for invalid parameters.
 """
 
 from __future__ import annotations
@@ -44,12 +45,12 @@ _SHARED = {
 }
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _fmt(x: int | float) -> str:
+    return str(x) if isinstance(x, int) else format(float(x), ".17g")
 
 
 def _print_csv(header: str, points) -> None:
-    rows = "".join(f"{x:.17g},{y:.17g}\n" for x, y in points)
+    rows = "".join(f"{_fmt(x)},{_fmt(y)}\n" for x, y in points)
     sys.stdout.write(f"{header}\n{rows}")
 
 
@@ -58,15 +59,9 @@ def _print_curve(curve) -> None:
 
 
 def _json_field(key: str, value) -> str:
-    if value is None:
+    if value is None or value != value:  # NaN has no JSON spelling
         return f'"{key}": null'
-    if isinstance(value, bool):
-        return f'"{key}": {"true" if value else "false"}'
-    if isinstance(value, int):
-        return f'"{key}": {value}'
-    if isinstance(value, float):
-        if value != value:  # NaN has no JSON spelling
-            return f'"{key}": null'
+    if isinstance(value, (int, float)):
         return f'"{key}": {_fmt(value)}'
     escaped = str(value).replace("\\", "\\\\").replace('"', '\\"')
     return f'"{key}": "{escaped}"'
@@ -80,9 +75,8 @@ def _cmd_solve(args) -> int:
     sol = solve_equilibrium(GameParams(args.n, args.k, args.p), q_tol=args.tol)
     fields = dataclasses.asdict(sol)
     if args.format == "csv":
-        values = (_fmt(v) if isinstance(v, float) else str(v) for v in fields.values())
         print(",".join(fields))
-        print(",".join(values))
+        print(",".join(map(_fmt, fields.values())))
     else:
         _print_json(fields)
     return 0

@@ -27,8 +27,6 @@ from .model import (
     _reliability,
     _reliability_excess,
     _residual,
-    equilibrium_residual,
-    reliability_from_trust,
 )
 
 __all__ = [
@@ -143,8 +141,8 @@ def solve_equilibrium(
         iterations += 1
     return EquilibriumSolution(
         q_bar=hi,
-        residual=abs(reliability_from_trust(n, k, hi) - p),
-        e_residual=abs(equilibrium_residual(params, hi)),
+        residual=abs(_reliability(n, k, hi) - p),
+        e_residual=abs(_residual(n, k, p, hi)),
         iterations=iterations,
         bracket_lo=lo,
         bracket_hi=hi,
@@ -293,15 +291,17 @@ def _sorted_unique(values: Iterable[int], name: str) -> list[int]:
 
 
 def sweep_n(k: int, p: float, n_values: Iterable[int]) -> CurveSamples:
-    """Equilibrium trust against population size at fixed (k, p)."""
+    """Equilibrium trust against population size at fixed (k, p); the
+    abscissae are the requested n, as ints."""
     ns = _sorted_unique(n_values, "n_values")
     params = GameParams(ns[0], k, p)  # the smallest n is the strictest
     q_bars = _q_bars(ns, [params.k] * len(ns), params.p)
-    return CurveSamples("n", "q_bar", tuple(zip(map(float, ns), q_bars)))
+    return CurveSamples("n", "q_bar", tuple(zip(ns, q_bars)))
 
 
 def sweep_k(n: int, p: float, k_values: Iterable[int]) -> CurveSamples:
-    """Equilibrium trust against ray count at fixed (n, p).
+    """Equilibrium trust against ray count at fixed (n, p); the abscissae are
+    the requested k, as ints.
 
     Every entry must satisfy p > 1/(k+1); an entry below the signal floor
     raises rather than being silently dropped.
@@ -309,4 +309,4 @@ def sweep_k(n: int, p: float, k_values: Iterable[int]) -> CurveSamples:
     ks = _sorted_unique(k_values, "k_values")
     params = GameParams(n, ks[0], p)  # the smallest k is the strictest
     q_bars = _q_bars([params.n] * len(ks), ks, params.p)
-    return CurveSamples("k", "q_bar", tuple(zip(map(float, ks), q_bars)))
+    return CurveSamples("k", "q_bar", tuple(zip(ks, q_bars)))

@@ -121,18 +121,15 @@ def _branch_probabilities(
 
 
 def simulate_round(
-    params: GameParams,
-    profile: TrustProfile,
-    rng: np.random.Generator,
-    max_turns: int = DEFAULT_MAX_TURNS,
+    params: GameParams, profile: TrustProfile, rng: np.random.Generator
 ) -> RoundResult:
     """Play one round; returns the focal payoff, all payoffs, and the turn.
 
     payoffs[0] is the focal searcher, payoffs[1:] the others, as exact
     fractions so that every uncapped round splits the prize to total exactly
-    one. finish_turn is None when the round hits max_turns (all payoffs 0).
-    Draw order per turn is fixed: one uniform for the focal searcher, then a
-    vector of n - 1 uniforms for the others.
+    one. finish_turn is None when nobody lands within DEFAULT_MAX_TURNS turns
+    (all payoffs 0). Draw order per turn is fixed: one uniform for the focal
+    searcher, then a vector of n - 1 uniforms for the others.
     """
     n = params.n
     correct = bool(rng.random() < params.p)
@@ -140,9 +137,9 @@ def simulate_round(
     zero = Fraction(0)
     if focal_p == 0.0 and other_p == 0.0:
         # Nobody can ever land on this branch; the round is capped without
-        # burning max_turns of draws.
+        # burning DEFAULT_MAX_TURNS of draws.
         return RoundResult(0.0, [zero] * n, None)
-    for turn in range(1, max_turns + 1):
+    for turn in range(1, DEFAULT_MAX_TURNS + 1):
         focal_in = bool(rng.random() < focal_p)
         others_in = rng.random(n - 1) < other_p
         arrived = int(focal_in) + int(np.count_nonzero(others_in))

@@ -10,17 +10,11 @@ grows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
-from .equilibrium import (
-    _Q_TOL,
-    EquilibriumSolution,
-    _sorted_unique,
-    solve_equilibrium,
-    sweep_n,
-)
+from .equilibrium import _Q_TOL, EquilibriumSolution, solve_equilibrium, sweep_n
 from .model import (
     GameParams,
     _as_int,
@@ -127,9 +121,11 @@ def best_response_scan(
 
 
 # check_equilibrium's bounds: on the best scanned payoff above the symmetric
-# share 1/n, and on the equilibrium residual at the solved trust.
+# share 1/n, and on the equilibrium residual at the solved trust. Then
+# check_probability_matching's bound on the gap q_bar - p at the largest n.
 _PAYOFF_TOL = 1e-9
 _RESIDUAL_TOL = 1e-10
+_FINAL_GAP_TOL = 1e-3
 
 
 def check_equilibrium(params: GameParams) -> EquilibriumCheck:
@@ -158,10 +154,7 @@ def check_equilibrium(params: GameParams) -> EquilibriumCheck:
 
 
 def check_probability_matching(
-    k: int,
-    p: float,
-    n_values: Iterable[int],
-    tol_fn: Callable[[int], float] | None = None,
+    k: int, p: float, n_values: Iterable[int]
 ) -> ProbabilityMatchingReport:
     """Check that equilibrium trust stays above p and sinks toward it.
 
@@ -169,26 +162,25 @@ def check_probability_matching(
     between consecutive entries that both exceed the decrease threshold the
     gap must not grow by more than the solver's bracket width _Q_TOL
     (consecutive roots are only located to it, so smaller decreases cannot
-    be resolved); and the final gap must fall below tol_fn(max n), which
-    defaults to a flat 1e-3.
+    be resolved); and the final gap must fall below _FINAL_GAP_TOL.
     """
-    ns = _sorted_unique(n_values, "n_values")
+    curve = sweep_n(k, p, n_values)
+    ns = curve.xs
     threshold = trust_decrease_threshold(p, k)
-    gaps = tuple(q_bar - p for q_bar in sweep_n(k, p, ns).ys)
+    gaps = tuple(q_bar - p for q_bar in curve.ys)
     decreasing = all(
         later <= earlier + _Q_TOL
-        for n_a, n_b, earlier, later in zip(ns, ns[1:], gaps, gaps[1:])
-        if n_a > threshold
+        for n, earlier, later in zip(ns, gaps, gaps[1:])
+        if n > threshold
     )
-    final_tol = 1e-3 if tol_fn is None else tol_fn(ns[-1])
     return ProbabilityMatchingReport(
         k=k,
         p=float(p),
-        n_values=tuple(ns),
+        n_values=ns,
         gaps=gaps,
         threshold=threshold,
         all_gaps_positive=all(g > 0.0 for g in gaps),
         decreasing_above_threshold=decreasing,
         final_gap=gaps[-1],
-        final_gap_ok=gaps[-1] < final_tol,
+        final_gap_ok=gaps[-1] < _FINAL_GAP_TOL,
     )

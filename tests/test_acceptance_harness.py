@@ -30,16 +30,17 @@ def test_budget_fails_a_slow_check_and_reports_the_total(monkeypatch):
     @acceptance._criterion("unbudgeted")
     def first(quick):
         seen.append(quick)
-        return True, "fine"
+        yield True, "fine"
+        yield True, "also fine"
 
     @acceptance._criterion("over budget", budget_s=0.0)
     def second(quick):
-        return True, "fine"
+        yield True, "fine"
 
     assert acceptance._CRITERIA == [first, second]
     plain = first(quick=True)
     assert (plain.number, plain.name, plain.passed, plain.detail) == (
-        1, "unbudgeted", True, "fine",
+        1, "unbudgeted", True, "fine; also fine",
     )
     assert seen == [True]
     late = second()

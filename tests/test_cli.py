@@ -72,6 +72,19 @@ class TestSolve:
         code, out, err = run_cli(capsys, "solve", *argv, "--p", "0.6")
         assert (code, out, err) == (2, "", f"{name} must fit in a double\n")
 
+    def test_p_inside_the_bracket_margin_exits_one(self, capsys):
+        # A valid p within about 1e-9 of its floor lies outside the solver's
+        # bracket; the SolverError maps to exit 1.
+        code, out, err = run_cli(
+            capsys, "solve", "--n", "5", "--k", "1", "--p", "0.5000000001"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "internal error: no sign change across the solver's bracket "
+            "[0.500000001, 0.999999999] for n=5, k=1, p=0.5000000001; "
+            "p is too close to its domain boundary\n"
+        )
+
     def test_ray_count_far_above_population(self, capsys):
         code, out, err = run_cli(
             capsys, "solve", "--n", "2", "--k", "20000000", "--p", "0.5"
@@ -166,6 +179,27 @@ class TestSweeps:
         assert len(ns) <= 50
         assert all(b > a for a, b in zip(ns, ns[1:]))
 
+    @pytest.mark.parametrize("n_to", ["9007199254740995", "100000000000000000000"])
+    def test_sweep_n_prints_the_n_it_solved(self, capsys, n_to):
+        # Exact integers, where a double would print 9007199254740996 and 1e+20.
+        code, out, err = run_cli(
+            capsys, "sweep-n", "--k", "3", "--p", "0.5",
+            "--n-from", "2", "--n-to", n_to, "--log",
+        )
+        assert (code, err) == (0, "")
+        ns = [line.split(",")[0] for line in out.splitlines()[1:]]
+        assert all(n.isdigit() for n in ns)
+        assert ns[-1] == n_to
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep-n", "--k", "3", "--p", "0.5", "--n-from", "10", "--n-to", "5"],
+         "--n-to must not be below --n-from\n"),
+        (["sweep-k", "--n", "5", "--p", "0.6", "--k-from", "5", "--k-to", "2"],
+         "--k-to must not be below --k-from\n"),
+    ])
+    def test_inverted_range_exits_two(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", message)
+
     def test_sweep_k_far_below_one_exits_two_at_once(self, capsys):
         # The start is checked before the range is built: building this one
         # would not finish.
@@ -228,6 +262,27 @@ class TestSimulate:
         payload = json.loads(out)
         assert payload["capped_rounds"] > 0
         assert "biased low" in payload["warning"]
+
+    def test_every_round_capped(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--n", "2", "--k", "1000000", "--p", "0.5",
+            "--q", "1e-9", "--rounds", "5", "--seed", "1", "--max-turns", "1",
+        )
+        assert (code, err) == (0, "")
+        assert '"capped_rounds": 5,' in out
+        assert '"mean_finish_turn": null,' in out
+        assert json.loads(out)["warning"] == (
+            "5 of 5 rounds hit the 1-turn cap; capped rounds score 0, "
+            "so the payoff estimate is biased low"
+        )
+
+    def test_single_round_has_zero_std_error(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--n", "2", "--k", "1", "--p", "0.6",
+            "--q", "0.7", "--rounds", "1", "--seed", "1",
+        )
+        assert code == 0
+        assert '"focal_std_error": 0,' in out
 
 
 class TestBestResponse:

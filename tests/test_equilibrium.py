@@ -321,6 +321,22 @@ class TestSweeps:
         with pytest.raises(ValueError, match="duplicates"):
             sweep_n(3, 0.5, [2, 2, 3])
 
+    @pytest.mark.parametrize("values", [
+        [9, 2, 4], np.arange(2, 40), [2, 2**53 + 3],
+    ])
+    def test_abscissae_are_the_requested_ints(self, values):
+        # Exact past 2**53, where a double would round the last entry.
+        expected = tuple(sorted(values))
+        for curve in (sweep_n(3, 0.6, values), sweep_k(5, 0.6, values)):
+            assert curve.xs == expected
+            assert all(type(x) is int for x in curve.xs)
+
+    def test_empty_entries_rejected(self):
+        with pytest.raises(ValueError, match="^n_values must not be empty$"):
+            sweep_n(3, 0.5, [])
+        with pytest.raises(ValueError, match="^k_values must not be empty$"):
+            sweep_k(5, 0.6, [])
+
     def test_sweep_k_strictly_increasing(self):
         curve = sweep_k(5, 0.6, range(1, 11))
         assert all(b > a for a, b in zip(curve.ys, curve.ys[1:]))
@@ -369,7 +385,7 @@ class TestLaneSolver:
 
     def test_probability_matching_gaps_match_scalar_solves(self):
         ns = range(2, 62)
-        report = check_probability_matching(3, 0.5, ns, tol_fn=lambda n: 1.0)
+        report = check_probability_matching(3, 0.5, ns)
         assert report.gaps == tuple(scalar_q_bar(n, 3, 0.5) - 0.5 for n in ns)
 
     def test_invalid_smallest_entry_names_the_invariant(self):

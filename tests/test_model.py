@@ -57,6 +57,11 @@ class TestGameParams:
         with pytest.raises(ValueError, match="strictly less than 1"):
             GameParams(5, 3, 1.0)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_non_finite_p_rejected(self, p):
+        with pytest.raises(ValueError, match="^p must be finite$"):
+            GameParams(5, 3, p)
+
     def test_non_integer_n_rejected(self):
         with pytest.raises(ValueError, match="n must be an integer"):
             GameParams(2.5, 3, 0.5)
