@@ -14,8 +14,6 @@ import argparse
 import dataclasses
 import sys
 
-import numpy as np
-
 from .equilibrium import (
     _Q_TOL,
     SolverError,
@@ -102,6 +100,8 @@ def _cmd_sweep_n(args) -> int:
         raise ValueError("--n-to must not be below --n-from")
     values = range(lo, hi + 1)
     if args.log:
+        import numpy as np
+
         # Spaced in floats, as the ends may not fit a numpy integer, and
         # clamped, as a rounded end may fall outside the range.
         points = min(_LOG_SWEEP_POINTS, hi - lo + 1)

@@ -17,9 +17,8 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import (
+    _DOUBLE_MAX,
     GameParams,
     _as_count,
     _as_int,
@@ -89,7 +88,8 @@ class CurveSamples:
     def __post_init__(self) -> None:
         last = -math.inf
         for x, y in self.points:
-            if not (math.isfinite(x) and math.isfinite(y)):
+            # Compared, not converted: an int past the doubles is not finite.
+            if not (abs(x) <= _DOUBLE_MAX and abs(y) <= _DOUBLE_MAX):
                 raise ValueError("curve values must be finite")
             if x <= last:
                 raise ValueError("abscissa values must be strictly increasing")
@@ -214,6 +214,8 @@ def _q_bars(ns: Sequence[int], ks: Sequence[int], p: float) -> list[float]:
     """
     if len(ns) < _LANE_MIN:
         return [solve_equilibrium(GameParams(n, k, p)).q_bar for n, k in zip(ns, ks)]
+    import numpy as np
+
     n, k = np.array(ns, dtype=float), np.array(ks, dtype=float)
     bits, lo, jl, top = _grid(k, _Q_TOL, np)
     scale, jh = 2.0**-bits, np.full_like(jl, top)
@@ -258,6 +260,8 @@ def residual_curve(
     steps = _as_int(steps, "steps", 2)
     if not 0.0 <= q_lo < q_hi <= 1.0:
         raise ValueError("need 0 <= q_lo < q_hi <= 1")
+    import numpy as np
+
     qs = _uniform_grid(q_lo, q_hi, steps)
     with np.errstate(divide="ignore"):
         es = _residual(params.n, params.k, params.p, np.array(qs), np)
@@ -275,6 +279,8 @@ def reliability_curve(
     steps = _as_int(steps, "steps", 2)
     if not 1.0 / (k + 1) < q_lo < q_hi < 1.0:
         raise ValueError("need 1/(k+1) < q_lo < q_hi < 1")
+    import numpy as np
+
     qs = _uniform_grid(q_lo, q_hi, steps)
     fs = _reliability(n, k, np.array(qs), np)
     return CurveSamples("q", "F", tuple(zip(qs, fs.tolist())))

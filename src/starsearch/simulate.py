@@ -47,11 +47,12 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .model import GameParams, TrustProfile, _as_count, _as_int, _require_interior_q
+
+if TYPE_CHECKING:  # numpy is imported where an array is built
+    import numpy as np
 
 __all__ = [
     "DEFAULT_MAX_TURNS",
@@ -142,7 +143,7 @@ def simulate_round(
     for turn in range(1, DEFAULT_MAX_TURNS + 1):
         focal_in = bool(rng.random() < focal_p)
         others_in = rng.random(n - 1) < other_p
-        arrived = int(focal_in) + int(np.count_nonzero(others_in))
+        arrived = int(focal_in) + int(others_in.sum())
         if arrived:
             share = Fraction(1, arrived)
             payoffs = [share if focal_in else zero]
@@ -152,6 +153,8 @@ def simulate_round(
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
+    import numpy as np
+
     key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -178,6 +181,8 @@ def _coarrival_law(other_p: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     first count are a running sum of log ratios of neighbouring chances,
     and the chances are normalised over the window.
     """
+    import numpy as np
+
     others = n - 1
     if other_p == 0.0 or other_p == 1.0:
         m = 0.0 if other_p == 0.0 else float(others)
@@ -215,6 +220,8 @@ def _sample_branch(
     if focal_p == 0.0 and other_p == 0.0:
         # Nobody can ever land on this branch: every round is capped.
         return 0.0, 0.0, 0.0, 0
+    import numpy as np
+
     log_s = _log_no_landing(focal_p, other_p, n)
     log_capped = max_turns * log_s  # log s^max_turns
     finished = rounds - int(rng.binomial(rounds, math.exp(log_capped)))

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from .equilibrium import _Q_TOL, EquilibriumSolution, solve_equilibrium, sweep_n
 from .model import (
     GameParams,
@@ -106,6 +104,8 @@ def best_response_scan(
     q = _as_probability(q, "q")
     _require_interior_q(q)
     r_steps = _as_int(r_steps, "r_steps", 2)
+    import numpy as np
+
     r = np.linspace(0.0, 1.0, r_steps)
     payoff = _payoff(params.n, params.k, params.p, q, r)
     peak = float(payoff.max())

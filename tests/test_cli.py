@@ -374,13 +374,39 @@ class TestVerify:
         assert "FAIL" in out
 
 
-def test_import_leaves_acceptance_unloaded():
-    # In a fresh interpreter: other tests import starsearch.acceptance.
+def fresh_python(code: str) -> str:
+    """stdout of code run in a fresh interpreter, which other tests' imports
+    have not touched."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, starsearch.cli; print('starsearch.acceptance' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env,
         check=True,
     )
-    assert proc.stdout.strip() == "False"
+    return proc.stdout
+
+
+def test_import_leaves_acceptance_unloaded():
+    code = "import sys, starsearch.cli; print('starsearch.acceptance' in sys.modules)"
+    assert fresh_python(code).strip() == "False"
+
+
+def test_scalar_subcommands_leave_numpy_unloaded():
+    # Only array-building paths import numpy; sweep-k below the lane
+    # threshold solves point by point.
+    argvs = [
+        ["solve", "--n", "5", "--k", "3", "--p", "0.5"],
+        ["single-searcher", "--p", "0.9", "--k", "2"],
+        ["sweep-k", "--n", "5", "--p", "0.75", "--k-from", "1", "--k-to", "4"],
+    ]
+    code = (
+        "import contextlib, io, sys, starsearch\n"
+        "from starsearch.cli import dispatch\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert dispatch(argv) == 0\n"
+        "    loaded.append('numpy' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    assert fresh_python(code).strip() == str([False] * 4)

@@ -207,6 +207,15 @@ class TestCurveSamples:
         with pytest.raises(ValueError, match="finite"):
             CurveSamples("x", "y", ((0.1, math.inf), (0.2, 0.0)))
 
+    @pytest.mark.parametrize("point", [
+        (10**400, 0.5), (2, -10**400), (math.nan, 0.5), (2, -math.inf),
+    ])
+    def test_values_past_the_doubles_are_not_finite(self, point):
+        # An int past the largest double is rejected like inf, not with the
+        # OverflowError that converting it to a float raises.
+        with pytest.raises(ValueError, match="curve values must be finite"):
+            CurveSamples("n", "q", (point,))
+
 
 class TestResidualCurve:
     def test_crosses_zero_near_figure_root(self):
