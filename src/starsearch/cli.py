@@ -30,6 +30,8 @@ from .verify import best_response_scan
 __all__ = ["dispatch", "main"]
 
 _LOG_SWEEP_POINTS = 50
+# sweep-n and sweep-k solve and print this many values at a time, never the range.
+_SWEEP_CHUNK = 1 << 16
 
 # Options that several subcommands take, each declared once: flag -> (type, help).
 _SHARED = {
@@ -47,13 +49,21 @@ def _fmt(x: int | float) -> str:
     return str(x) if isinstance(x, int) else format(float(x), ".17g")
 
 
-def _print_csv(header: str, points) -> None:
+def _print_csv(header: str | None, points) -> None:
     rows = "".join(f"{_fmt(x)},{_fmt(y)}\n" for x, y in points)
-    sys.stdout.write(f"{header}\n{rows}")
+    sys.stdout.write(rows if header is None else f"{header}\n{rows}")
 
 
-def _print_curve(curve) -> None:
-    _print_csv(f"{curve.abscissa_name},{curve.ordinate_name}", curve.points)
+def _print_curve(curve, header: bool = True) -> None:
+    names = f"{curve.abscissa_name},{curve.ordinate_name}"
+    _print_csv(names if header else None, curve.points)
+
+
+def _print_sweep(sweep, fixed: int, p: float, lo: int, hi: int) -> None:
+    """Print sweep(fixed, p, lo..hi), solving _SWEEP_CHUNK values at a time."""
+    for start in range(lo, hi + 1, _SWEEP_CHUNK):
+        values = range(start, min(start + _SWEEP_CHUNK, hi + 1))
+        _print_curve(sweep(fixed, p, values), header=start == lo)
 
 
 def _json_field(key: str, value) -> str:
@@ -98,15 +108,16 @@ def _cmd_sweep_n(args) -> int:
     GameParams(hi, args.k, args.p)
     if hi < lo:
         raise ValueError("--n-to must not be below --n-from")
-    values = range(lo, hi + 1)
-    if args.log:
-        import numpy as np
+    if not args.log:
+        _print_sweep(sweep_n, args.k, args.p, lo, hi)
+        return 0
+    import numpy as np
 
-        # Spaced in floats, as the ends may not fit a numpy integer, and
-        # clamped, as a rounded end may fall outside the range.
-        points = min(_LOG_SWEEP_POINTS, hi - lo + 1)
-        grid = np.geomspace(float(lo), float(hi), num=points)
-        values = sorted({min(max(round(v), lo), hi) for v in grid.tolist()})
+    # Spaced in floats, as the ends may not fit a numpy integer, and
+    # clamped, as a rounded end may fall outside the range.
+    points = min(_LOG_SWEEP_POINTS, hi - lo + 1)
+    grid = np.geomspace(float(lo), float(hi), num=points)
+    values = sorted({min(max(round(v), lo), hi) for v in grid.tolist()})
     _print_curve(sweep_n(args.k, args.p, values))
     return 0
 
@@ -117,7 +128,7 @@ def _cmd_sweep_k(args) -> int:
     # Name a bad argument before building the range from it.
     GameParams(args.n, args.k_to, args.p)
     GameParams(args.n, args.k_from, args.p)
-    _print_curve(sweep_k(args.n, args.p, range(args.k_from, args.k_to + 1)))
+    _print_sweep(sweep_k, args.n, args.p, args.k_from, args.k_to)
     return 0
 
 

@@ -14,6 +14,7 @@ rule.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -287,11 +288,14 @@ def reliability_curve(
 
 
 def _sorted_unique(values: Iterable[int], name: str) -> list[int]:
-    out = sorted(_as_int(v, name) for v in values)
+    try:
+        out = sorted(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
     if not out:
         raise ValueError(f"{name} must not be empty")
     _as_count(out[-1], name)  # only the largest entry can overflow a double
-    if any(b == a for a, b in zip(out, out[1:])):
+    if len(set(out)) != len(out):
         raise ValueError(f"{name} must not contain duplicates")
     return out
 

@@ -30,10 +30,11 @@ other searcher with probability o:
   f / (1 - s), independently of the landing turn;
 - given that it is, the number of co-arrivers is Binomial(n - 1, o).
 
-Only the finish turn is drawn round by round. The capped and focal-in
-counts are single binomial draws per branch, and the co-arriver counts of
-the focal-in rounds are drawn as one multinomial tally over the counts. So
-every round costs the same one uniform whatever the trusts.
+The capped and focal-in counts are single binomial draws per branch, and
+the co-arriver counts of the focal-in rounds one multinomial tally. Where
+the cap's chance is below the doubles' resolution, the finish turns' total
+is one negative-binomial draw, so a 65536-round block costs a few draws;
+a binding cap, or a total past numpy's range, costs one uniform per round.
 
 Determinism: rounds are processed in fixed blocks of 65536, block b drawing
 from a counter-based Philox stream keyed by (seed, b), and block results are
@@ -68,6 +69,7 @@ __all__ = [
 DEFAULT_MAX_TURNS = 1_000_000
 _BLOCK_ROUNDS = 1 << 16
 _SEED_LIMIT = 1 << 64
+_NEGBIN_MEAN_LIMIT = 2.0**50  # numpy's negative binomial fails from a mean ~2**59.5
 
 
 @dataclass(frozen=True)
@@ -212,10 +214,10 @@ def _sample_branch(
 
     Returns the sum of focal shares, the sum of their squares, the sum of
     finish turns and the number of uncapped rounds. coarrivals is
-    _coarrival_law(other_p, n). Draw order is fixed: the capped count, one
-    uniform per uncapped round for its finish turn, the count of rounds the
-    focal searcher lands in, then how many of those have each co-arriver
-    count, as one multinomial draw.
+    _coarrival_law(other_p, n). Draw order is fixed: the capped count, the
+    finish turns' total (one negative-binomial draw, or one uniform per
+    uncapped round where the cap binds), the focal-in count, then the
+    co-arriver tally as one multinomial draw.
     """
     if focal_p == 0.0 and other_p == 0.0:
         # Nobody can ever land on this branch: every round is capped.
@@ -224,17 +226,24 @@ def _sample_branch(
 
     log_s = _log_no_landing(focal_p, other_p, n)
     log_capped = max_turns * log_s  # log s^max_turns
+    landing = -math.expm1(log_s)  # 1 - s
     finished = rounds - int(rng.binomial(rounds, math.exp(log_capped)))
-    # Inverse CDF of the landing turn, Geometric(1 - s) given it is at most
-    # max_turns: the smallest t with 1 - s^t >= u (1 - s^max_turns). The
-    # arrays are updated in place because fresh block-sized temporaries cost
-    # as much as the arithmetic.
-    turns = rng.random(finished)
-    turns *= math.expm1(log_capped)
-    np.log1p(turns, out=turns)
-    turns /= log_s
-    np.clip(np.ceil(turns, out=turns), 1.0, max_turns, out=turns)
-    focal_in = int(rng.binomial(finished, min(focal_p / -math.expm1(log_s), 1.0)))
+    if (finished and math.expm1(log_capped) == -1.0
+            and finished * math.exp(log_s) < _NEGBIN_MEAN_LIMIT * landing):
+        # Untruncated turns: a sum of geometrics is one negative binomial.
+        turn_total = finished + float(rng.negative_binomial(finished, landing))
+    else:
+        # Inverse CDF of each landing turn, Geometric(1 - s) given it is at
+        # most max_turns: the smallest t with 1 - s^t >= u (1 - s^max_turns).
+        # The arrays are updated in place because fresh block-sized
+        # temporaries cost as much as the arithmetic.
+        turns = rng.random(finished)
+        turns *= math.expm1(log_capped)
+        np.log1p(turns, out=turns)
+        turns /= log_s
+        np.clip(np.ceil(turns, out=turns), 1.0, max_turns, out=turns)
+        turn_total = float(np.sum(turns))
+    focal_in = int(rng.binomial(finished, min(focal_p / landing, 1.0)))
     # Co-arriver counts of the focal-in rounds, tallied by count: their law
     # is that of focal_in independent Binomial(n - 1, o) draws, at a cost
     # that does not grow with the rounds.
@@ -242,23 +251,23 @@ def _sample_branch(
     tally = rng.multinomial(focal_in, chances).astype(float)
     share_total = float(tally @ shares)
     share_sq = float(tally @ (shares * shares))
-    return share_total, share_sq, float(np.sum(turns)), finished
+    return share_total, share_sq, turn_total, finished
 
 
 def estimate_payoff(config: SimulationConfig) -> SimulationReport:
     """Estimate the focal searcher's expected share over many rounds.
 
-    Samples the law of repeated simulate_round calls at a cost per round
-    that does not depend on the trusts. Per block, the number of rounds with
-    a correct pointer is Binomial(block rounds, p). On each branch, with
-    landing chances f (focal) and o (each other) and s = (1 - f)(1 - o)^(n-1):
-    Binomial(rounds, s^max_turns) rounds are capped and score 0; each other
-    round finishes on a turn drawn from Geometric(1 - s) truncated at
-    max_turns; the focal searcher is among its arrivers with probability
-    f / (1 - s) and then shares with Binomial(n - 1, o) co-arrivers, whose
-    counts over the focal-in rounds are drawn as one multinomial tally. Standard
-    error is the sample standard deviation over all rounds divided by
-    sqrt(rounds); mean_finish_turn averages the uncapped rounds.
+    Samples the law of repeated simulate_round calls at a cost per block of
+    rounds that does not depend on the trusts. Per block, the number of
+    rounds with a correct pointer is Binomial(block rounds, p). On each
+    branch, with landing chances f (focal) and o (each other) and
+    s = (1 - f)(1 - o)^(n-1): Binomial(rounds, s^max_turns) rounds are capped
+    and score 0; the others finish on Geometric(1 - s) turns truncated at
+    max_turns, drawn as in _sample_branch; the focal searcher is among a
+    round's arrivers with probability f / (1 - s) and then shares with
+    Binomial(n - 1, o) co-arrivers, tallied in one multinomial draw.
+    Standard error is the sample standard deviation over all rounds divided
+    by sqrt(rounds); mean_finish_turn averages the uncapped rounds.
     """
     params, profile = config.params, config.profile
     rounds = config.rounds

@@ -2,17 +2,21 @@ import dataclasses
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from starsearch.cli import dispatch
-from starsearch.equilibrium import EquilibriumSolution
+from starsearch.cli import _print_curve, dispatch
+from starsearch.equilibrium import EquilibriumSolution, sweep_k, sweep_n
 from starsearch.simulate import SimulationReport
 
 HUGE = "1" + "0" * 400  # an integer past the largest double
+# Child interpreters import the package from this checkout.
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 SUBCOMMANDS = (
     "solve", "curve-e", "curve-f", "sweep-n", "sweep-k", "simulate",
     "best-response", "verify", "single-searcher",
@@ -209,6 +213,42 @@ class TestSweeps:
         )
         assert (code, out, err) == (2, "", "k must be at least 1\n")
 
+    @pytest.mark.parametrize("argv,sweep", [
+        # Four chunks, the last one solved as lanes.
+        (["sweep-n", "--k", "3", "--p", "0.5", "--n-from", "2", "--n-to", "200000"],
+         lambda: sweep_n(3, 0.5, range(2, 200001))),
+        # Two chunks, the last one a single scalar solve.
+        (["sweep-k", "--n", "5", "--p", "0.6", "--k-from", "1", "--k-to", "65537"],
+         lambda: sweep_k(5, 0.6, range(1, 65538))),
+    ])
+    def test_chunked_sweep_prints_one_whole_sweep(self, capsys, argv, sweep):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        _print_curve(sweep())
+        assert out == capsys.readouterr().out
+
+    def test_long_range_prints_rows_before_it_is_built(self, capsys):
+        # 1e12 values would not fit in memory; the first rows must come all
+        # the same. The child's address space is capped, and a timer kills
+        # it, so a sweep that builds its range fails this test instead of
+        # exhausting the host.
+        argv = ["sweep-n", "--k", "3", "--p", "0.5", "--n-from", "2"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "starsearch", *argv, "--n-to", str(10**12 + 1)],
+            stdout=subprocess.PIPE, text=True, env=CHILD_ENV,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30,) * 2),
+        )
+        timer = threading.Timer(60.0, proc.kill)
+        timer.start()
+        try:
+            head = [proc.stdout.readline() for _ in range(4)]
+        finally:
+            timer.cancel()
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+        assert run_cli(capsys, *argv, "--n-to", "4") == (0, "".join(head), "")
+
     @pytest.mark.parametrize("argv,name", [
         (["sweep-n", "--k", "3", "--p", "0.6", "--n-from", "2", "--n-to", HUGE], "n"),
         (["sweep-k", "--n", "5", "--p", "0.6", "--k-from", "1", "--k-to", HUGE], "k"),
@@ -377,10 +417,8 @@ class TestVerify:
 def fresh_python(code: str) -> str:
     """stdout of code run in a fresh interpreter, which other tests' imports
     have not touched."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV,
         check=True,
     )
     return proc.stdout

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from starsearch import (
+    DEFAULT_MAX_TURNS,
     GameParams,
     SimulationConfig,
     TrustProfile,
@@ -196,6 +197,56 @@ class TestEstimatePayoff:
         profile = TrustProfile(1e-4, 1e-4)
         start = time.perf_counter()
         report = estimate_payoff(SimulationConfig(params, profile, rounds=10**5, seed=41))
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0
+        assert report.capped_rounds == 0
+        exact = expected_payoff(params, profile)
+        assert abs(report.focal_mean_payoff - exact) < 4 * report.focal_std_error
+
+    @pytest.mark.parametrize("max_turns", [DEFAULT_MAX_TURNS, 400])
+    def test_finish_turns_on_both_routes(self, max_turns):
+        # Where the cap's mass is below the doubles' resolution a branch's
+        # turn total is one negative binomial draw; at 400 turns the
+        # correct-pointer branch keeps s**400, about e**-28, so its turns are
+        # drawn round by round. Both must give the geometric-mixture mean.
+        n, k, p, q, r = 3, 2, 0.9, 0.02, 0.03
+        rounds = 10**6
+        s_right = (1 - r) * (1 - q) ** (n - 1)
+        s_wrong = (1 - (1 - r) / k) * (1 - (1 - q) / k) ** (n - 1)
+        untruncated = math.expm1(max_turns * math.log(s_right)) == -1.0
+        assert untruncated == (max_turns == DEFAULT_MAX_TURNS)
+        report = estimate_payoff(
+            SimulationConfig(
+                GameParams(n, k, p), TrustProfile(q, r), rounds=rounds, seed=44,
+                max_turns=max_turns,
+            )
+        )
+        mean = p / (1 - s_right) + (1 - p) / (1 - s_wrong)
+        second = p * (1 + s_right) / (1 - s_right) ** 2 + (1 - p) * (
+            1 + s_wrong
+        ) / (1 - s_wrong) ** 2
+        spread = math.sqrt((second - mean**2) / rounds)
+        assert report.capped_rounds == 0
+        assert abs(report.mean_finish_turn - mean) < 4 * spread
+
+    def test_turn_total_past_the_negative_binomial_range(self):
+        # At trusts of 1e-20 a correct-pointer round lasts about 3e19 turns,
+        # so a block's turn total has a mean past what numpy's negative
+        # binomial accepts; those turns are drawn round by round.
+        config = SimulationConfig(
+            GameParams(3, 2, 0.6), TrustProfile(1e-20, 1e-20), rounds=2_000, seed=45,
+            max_turns=10**400,
+        )
+        report = estimate_payoff(config)
+        assert report.capped_rounds == 0
+        assert math.isfinite(report.mean_finish_turn)
+        assert report.mean_finish_turn > 1e18
+
+    def test_cost_does_not_grow_with_the_rounds(self):
+        params = GameParams(2, 3, 0.5)
+        profile = TrustProfile(1e-4, 1e-4)
+        start = time.perf_counter()
+        report = estimate_payoff(SimulationConfig(params, profile, rounds=10**8, seed=46))
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0
         assert report.capped_rounds == 0
