@@ -24,7 +24,7 @@ for p in (1 / 2, 2 / 3, 3 / 4):
     print(f"{p:8.4f} {solution.q_bar:10.6f} {solution.q_bar - p:10.6f}")
 
 # The solver inverts a monotone map: reliability_from_trust(q_bar) must give
-# back p. Round-trip error is at the solver tolerance.
+# back p. Round-trip error is about one cell of the solver's grid (1e-13).
 p = 2 / 3
 q_bar = solve_equilibrium(GameParams(5, 3, p)).q_bar
 print("\nround trip |F(q_bar) - p| =", abs(reliability_from_trust(5, 3, q_bar) - p))

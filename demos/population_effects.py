@@ -41,7 +41,8 @@ for exponent in range(1, 6):
     print(f"{n:8d} {gap:12.3e}")
 
 # The packaged check asserts all of it at once: positive gaps, eventual
-# decrease, and a final gap under the tolerance.
+# decrease to within one cell of the solver's grid, and a final gap under
+# 1e-3.
 report = check_probability_matching(K, P, [10, 100, 1000, 10_000, 100_000])
 print(
     "\ncheck_probability_matching:",

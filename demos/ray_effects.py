@@ -15,13 +15,8 @@ competitive = sweep_k(N, P, range(1, 11))
 print(f"n={N} searchers, reliability p={P}")
 print(f"{'k':>4} {'equilibrium q_bar':>18} {'lone-searcher trust':>20}")
 for (k, q_bar) in competitive.points:
-    k = int(k)
-    # The lone-searcher closed form blows up at p = k/(k+1); skip that k.
-    try:
-        lone = f"{single_searcher_optimal_trust(P, k):20.6f}"
-    except ValueError:
-        lone = f"{'(undefined)':>20}"
-    print(f"{k:4d} {q_bar:18.6f} {lone}")
+    lone = single_searcher_optimal_trust(P, k)
+    print(f"{k:4d} {q_bar:18.6f} {lone:20.6f}")
 
 print(
     "\ncompetition pushes trust up with k, solo time-minimization pushes it down"

@@ -4,8 +4,7 @@ Data goes to stdout (CSV for curves and sweeps, JSON for reports),
 diagnostics to stderr. Integers are printed exactly and reals with 17
 significant digits, so that every value parses back to the exact number, and
 identical invocations produce byte-identical output. Exit codes: 0 on
-success, 1 when verification fails or the solver reports an internal error,
-2 for invalid parameters.
+success, 1 when verification fails, 2 for invalid parameters.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ import dataclasses
 import sys
 
 from .equilibrium import (
-    _Q_TOL,
-    SolverError,
     reliability_curve,
     residual_curve,
     solve_equilibrium,
@@ -80,7 +77,7 @@ def _print_json(fields: dict[str, object]) -> None:
 
 
 def _cmd_solve(args) -> int:
-    sol = solve_equilibrium(GameParams(args.n, args.k, args.p), q_tol=args.tol)
+    sol = solve_equilibrium(GameParams(args.n, args.k, args.p))
     fields = dataclasses.asdict(sol)
     if args.format == "csv":
         print(",".join(fields))
@@ -188,7 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = command("solve", "solve for the equilibrium trust", _cmd_solve,
                     "--n --k --p")
-    solve.add_argument("--tol", type=float, default=_Q_TOL, help="bracket tolerance")
     solve.add_argument("--format", choices=("csv", "json"), default="json",
                        help="output format")
     command("curve-e", "sample the equilibrium residual", _cmd_curve_e,
@@ -231,9 +227,6 @@ def dispatch(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except SolverError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
 
 
 def main() -> None:

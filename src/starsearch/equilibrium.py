@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -32,7 +33,6 @@ from .model import (
 __all__ = [
     "EquilibriumSolution",
     "CurveSamples",
-    "SolverError",
     "solve_equilibrium",
     "residual_curve",
     "reliability_curve",
@@ -40,25 +40,19 @@ __all__ = [
     "sweep_k",
 ]
 
-# Offset of the solver's bracket from the open-interval endpoints, where the
-# reliability map only attains its limits.
-_BRACKET_MARGIN = 1e-9
-
-# Default resolution of the solver's grid, shared by scalar and lane solves.
-_Q_TOL = 1e-12
-
-# Finest grid exponent (indices up to 2**1020 convert to doubles), and the
-# steps a solve may spend beyond plain bisection's count (see _probe).
-_MAX_BITS = 1020
+# The solver's grid is the doubles whose bit pattern is a multiple of
+# 2**_GRID_BITS: cells of 1,024 ulps (at most 2**-42 relative), far wider
+# than the band around the root, 1 ulp where measured, in which rounding
+# flips the sign function's sign. _FREE_STEPS is the steps a solve may
+# spend beyond plain bisection's count (see _probe).
+_GRID_BITS = 10
 _FREE_STEPS = 12
 
 # Batches of at least this many solves run as numpy lanes; smaller ones are
 # cheaper as per-point scalar solves (the measured crossover).
 _LANE_MIN = 16
 
-
-class SolverError(RuntimeError):
-    """Internal solver failure that validated parameters should never trigger."""
+_DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")
 
 
 @dataclass(frozen=True)
@@ -66,8 +60,8 @@ class EquilibriumSolution:
     """Equilibrium trust plus solver diagnostics.
 
     q_bar equals bracket_hi, the upper end of the final grid cell.
-    iterations counts the sign-function evaluations after the two at the
-    ends of the initial bracket.
+    iterations counts the sign-function evaluations after the one at the
+    lower end of the initial bracket.
     """
 
     q_bar: float
@@ -105,40 +99,38 @@ class CurveSamples:
         return tuple(y for _, y in self.points)
 
 
-def solve_equilibrium(
-    params: GameParams, q_tol: float = _Q_TOL
-) -> EquilibriumSolution:
-    """Find the unique symmetric-equilibrium trust on a fixed dyadic grid.
+def solve_equilibrium(params: GameParams) -> EquilibriumSolution:
+    """Find the unique symmetric-equilibrium trust on a fixed grid of doubles.
 
-    The grid is the ends of [1/(k+1) + 1e-9, 1 - 1e-9] and the multiples of
-    2**-M between them, M the least exponent with 2**-M <= q_tol/4 (at most
-    _MAX_BITS). q_bar = bracket_hi is the first grid point where the excess
-    is positive, bracket_lo the one below it, so the root lies in (lo, hi] and
-    q_bar > p survives rounding. Where the grid is finer than the doubles
-    (above 1/16 from q_tol = 1e-16) the two are adjacent doubles. Only signs
-    at grid points decide the answer, so lanes equal scalar solves. Regula
-    falsi on grid indices, from the grid point just below p (_probe, _step),
-    takes at most M + _FREE_STEPS evaluations (54 at the default q_tol) and
-    typically 2 to 10. Raises SolverError if the bracket ends do not
-    straddle the root (only when p is within about 1e-9 of its bounds).
+    Bit patterns of positive doubles are ordered like their values; grid
+    point j is the double whose bit pattern is j * 2**_GRID_BITS, so cells
+    are 1,024 ulps wide at every scale. q_bar = bracket_hi is the first grid
+    point where the sign function is positive and bracket_lo the one below
+    it, so the root lies in (lo, hi]. The sign function is
+    _reliability_excess, the reliability map's excess over p scaled to keep
+    clear of underflow. The initial bracket runs from p's grid point at or
+    below p to 1.0, and neither end's sign is evaluated: the paper's theorem
+    q_bar > p makes the excess negative at every q <= p, and towards q = 1
+    the sign function tends to (1-p)(n-1)/p > 0. So q_bar > p holds by
+    construction, and for every valid p. Only signs at grid points decide
+    the answer, so lanes equal scalar solves. Regula falsi on the grid, from
+    the secant through the bracket ends (_probe, _step), takes at most
+    L + _FREE_STEPS evaluations after the lower end's, L the bit length of the
+    bracket's width in cells (at most 52), and typically 1.
     """
-    if not q_tol > 0.0:
-        raise ValueError("q_tol must be positive")
     n, k, p = params.n, params.k, params.p
-    bits, lo, jl, jh = _grid(k, q_tol)
-    scale, hi = 2.0**-bits, 1.0 - _BRACKET_MARGIN
-    fl, fh = _excess(n, k, p, lo), _excess(n, k, p, hi)
-    if not (fl < 0.0 < fh):
-        raise _bracket_error(n, k, p, lo, hi)
-    guess, last, deadline = p / scale, 0, 1 << (bits + _FREE_STEPS - 1)
-    iterations = 0
-    while jh - jl > 1 and math.nextafter(lo, 1.0) < hi:
-        jm = _probe(jl, jh, guess, deadline)
-        x = jm * scale
-        fm = _excess(n, k, p, x)
-        jl, jh, fl, fh, last, guess = _step(jl, jh, fl, fh, last, jm, fm)
+    jl, jh = _index(p), _index(1.0)
+    lo, hi = _point(jl), 1.0
+    # The lower end's value only steers the first secant.
+    fl, fh = min(_reliability_excess(n, k, p, lo), 0.0), (1.0 - p) * (n - 1) / p
+    last, deadline, iterations = 0, _first_deadline(jl, jh), 0
+    while jh - jl > 1:
+        jm = _probe(jl, jh, lo, hi, fl, fh, deadline)
+        x = _point(jm)
+        fm = _reliability_excess(n, k, p, x)
+        jl, jh, fl, fh, last = _step(jl, jh, fl, fh, last, jm, fm)
         lo, hi = (x, hi) if jl == jm else (lo, x)
-        deadline //= 2
+        deadline /= 2
         iterations += 1
     return EquilibriumSolution(
         q_bar=hi,
@@ -150,60 +142,54 @@ def solve_equilibrium(
     )
 
 
-def _grid(k, q_tol: float, xp=math):
-    """M, the bracket's lower end, and the indices of its two ends.
-
-    Grid point j is j * 2**-M strictly between the ends, which themselves
-    take the indices floor(lower * 2**M) and ceil(upper * 2**M). M does not
-    depend on k, so all lanes share it; with xp=numpy, k, the lower end and
-    its index are arrays.
-    """
-    bits = max(1 - math.frexp(max(0.25 * q_tol, 2.0**-_MAX_BITS))[1], 0)
-    lower = 1.0 / (k + 1.0) + _BRACKET_MARGIN
-    top = math.ceil((1.0 - _BRACKET_MARGIN) * 2.0**bits)
-    return bits, lower, xp.floor(lower * 2.0**bits), top
+def _index(x, xp=math):
+    """Index of the grid point at or below the positive double x; with
+    xp=numpy, x is an array of them."""
+    if xp is math:
+        return _INT64.unpack(_DOUBLE.pack(x))[0] >> _GRID_BITS
+    return x.view(xp.int64) >> _GRID_BITS
 
 
-def _excess(n, k, p: float, q, xp=math):
-    """The solver's sign function: _reliability_excess over 1 - q. Dividing
-    keeps the sign; the numerator alone vanishes at q = 1 and would pull the
-    first secants to the top of the bracket."""
-    return _reliability_excess(n, k, p, q, xp) / (1.0 - q)
+def _point(j, xp=math):
+    """The grid point of index j; with xp=numpy, j is an int64 array."""
+    if xp is math:
+        return _DOUBLE.unpack(_INT64.pack(j << _GRID_BITS))[0]
+    return (j << _GRID_BITS).view(xp.float64)
 
 
-def _probe(jl, jh, guess, deadline, xp=math):
-    """Next grid index to probe, strictly inside (jl, jh): the real-valued
-    guess rounded down and clamped, or the midpoint where the bracket is
-    wider than deadline. The loops start deadline at 2**(M + _FREE_STEPS - 1)
-    and halve it each step, so the bracket never exceeds what bisection
-    begun _FREE_STEPS steps late would leave: at most M + _FREE_STEPS probes.
+def _first_deadline(jl: int, jh: int) -> float:
+    """2**(L + _FREE_STEPS - 1), L the bit length of jh - jl (see _probe).
+    A float, as it can pass the int64 range of lane indices."""
+    return 2.0 ** ((jh - jl).bit_length() + _FREE_STEPS - 1)
+
+
+def _probe(jl, jh, lo, hi, fl, fh, deadline, xp=math):
+    """Next grid index to probe, strictly inside (jl, jh): the grid point at
+    or below the regula falsi guess between lo and hi, clamped, or the
+    midpoint where the bracket is wider than deadline. The loops start
+    deadline at _first_deadline and halve it each step, so the bracket never
+    exceeds what bisection begun _FREE_STEPS steps late would leave: at most
+    L + _FREE_STEPS probes.
     """
     midpoint, bisect = jl + (jh - jl) // 2, jh - jl > deadline
+    guess = _index(lo + fl / (fl - fh) * (hi - lo), xp)
     if xp is math:
-        return midpoint if bisect else min(max(math.floor(guess), jl + 1), jh - 1)
-    return xp.where(bisect, midpoint, xp.clip(xp.floor(guess), jl + 1, jh - 1))
+        return midpoint if bisect else min(max(guess, jl + 1), jh - 1)
+    return xp.where(bisect, midpoint, xp.clip(guess, jl + 1, jh - 1))
 
 
 def _step(jl, jh, fl, fh, last, jm, fm, xp=math):
-    """Bracket (jl, jh), end values fl <= 0 < fh, last end moved (+1 upper,
-    -1 lower) and next regula falsi guess after probing jm with value fm.
-    Illinois weighting: when one end moves twice in a row the other end's
-    value is halved (kept positive), so guesses cannot stall on one side.
+    """Bracket (jl, jh), end values fl <= 0 < fh and last end moved (+1
+    upper, -1 lower) after probing jm with value fm. Illinois weighting:
+    when one end moves twice in a row the other end's value is halved (kept
+    positive), so guesses cannot stall on one side.
     """
     where = (lambda c, a, b: a if c else b) if xp is math else xp.where
     up, half = fm > 0.0, 0.5 * fh
     jl, fl = where(up, jl, jm), where(up, where(last > 0, 0.5 * fl, fl), fm)
     fh = where((last < 0) & (half > 0.0), half, fh)
     jh, fh = where(up, jm, jh), where(up, fm, fh)
-    return jl, jh, fl, fh, where(up, 1, -1), jl + fl / (fl - fh) * (jh - jl) + 0.5
-
-
-def _bracket_error(n: int, k: int, p: float, lo: float, hi: float) -> SolverError:
-    return SolverError(
-        "internal error: no sign change across the solver's bracket "
-        f"[{lo!r}, {hi!r}] for n={n}, k={k}, p={p!r}; "
-        "p is too close to its domain boundary"
-    )
+    return jl, jh, fl, fh, where(up, 1, -1)
 
 
 def _q_bars(ns: Sequence[int], ks: Sequence[int], p: float) -> list[float]:
@@ -211,40 +197,36 @@ def _q_bars(ns: Sequence[int], ks: Sequence[int], p: float) -> list[float]:
 
     The caller validates the strictest pair. From _LANE_MIN pairs on, they
     are lanes of one numpy solve with the same grid and step rule, so each
-    ends on its scalar solve's cell; finished lanes leave the arrays.
+    ends on its scalar solve's cell; p is shared, so every lane starts from
+    the same bracket and deadline. Finished lanes leave the arrays.
     """
     if len(ns) < _LANE_MIN:
         return [solve_equilibrium(GameParams(n, k, p)).q_bar for n, k in zip(ns, ks)]
     import numpy as np
 
     n, k = np.array(ns, dtype=float), np.array(ks, dtype=float)
-    bits, lo, jl, top = _grid(k, _Q_TOL, np)
-    scale, jh = 2.0**-bits, np.full_like(jl, top)
-    hi = np.full_like(lo, 1.0 - _BRACKET_MARGIN)
-    fl, fh = _excess(n, k, p, lo, np), _excess(n, k, p, hi, np)
-    straddles = (fl < 0.0) & (0.0 < fh)
-    if not straddles.all():
-        i = int(np.argmin(straddles))
-        raise _bracket_error(ns[i], ks[i], p, float(lo[i]), float(hi[i]))
-    q_bars, lane = hi.copy(), np.arange(len(ns))
-    guess, last = np.full_like(lo, p / scale), np.zeros_like(lo)
-    deadline = 1 << (bits + _FREE_STEPS - 1)
+    jl, jh = _index(p), _index(1.0)
+    deadline = _first_deadline(jl, jh)
+    jl, jh = (np.full(len(ns), j, dtype=np.int64) for j in (jl, jh))
+    lo, hi = _point(jl, np), np.ones(len(ns))
+    fl = np.minimum(_reliability_excess(n, k, p, lo, np), 0.0)
+    fh = (1.0 - p) * (n - 1) / p
+    q_bars, lane, last = hi.copy(), np.arange(len(ns)), np.zeros(len(ns))
     while True:
-        done = (jh - jl <= 1) | (np.nextafter(lo, 1.0) >= hi)
+        done = jh - jl <= 1
         if done.any():
             q_bars[lane[done]] = hi[done]
             if done.all():
                 return q_bars.tolist()
-            lane, n, k, jl, jh, lo, hi, fl, fh, last, guess = (
-                a[~done] for a in (lane, n, k, jl, jh, lo, hi, fl, fh, last, guess)
+            lane, n, k, jl, jh, lo, hi, fl, fh, last = (
+                a[~done] for a in (lane, n, k, jl, jh, lo, hi, fl, fh, last)
             )
-        jm = _probe(jl, jh, guess, deadline, np)
-        x = jm * scale
-        jl, jh, fl, fh, last, guess = _step(
-            jl, jh, fl, fh, last, jm, _excess(n, k, p, x, np), np
-        )
+        jm = _probe(jl, jh, lo, hi, fl, fh, deadline, np)
+        x = _point(jm, np)
+        fm = _reliability_excess(n, k, p, x, np)
+        jl, jh, fl, fh, last = _step(jl, jh, fl, fh, last, jm, fm, np)
         lo, hi = np.where(jl == jm, x, lo), np.where(jh == jm, x, hi)
-        deadline //= 2
+        deadline /= 2
 
 
 def _uniform_grid(lo: float, hi: float, steps: int) -> list[float]:

@@ -216,42 +216,47 @@ def reliability_from_trust(n: int, k: int, q: float) -> float:
 
 
 def _reliability(n: int, k: int, q, xp=math):
-    """reliability_from_trust without validation; q may be a numpy array."""
+    """reliability_from_trust without validation; q may be a numpy array.
+
+    own / (own + other), with own = q B A1 and other = (1-q) A B1 as in
+    _reliability_excess, both divided by q q q* so that neither underflows
+    where q and q* are near 1e-300. A float q = 1 gives the limit 1.
+    """
+    if xp is math and q >= 1.0:
+        return 1.0
     q_star = (1.0 - q) / k
     _, _, a_complement, a1_complement = _powers(q_star, n, xp)
     _, _, b_complement, b1_complement = _powers(q, n, xp)
-    own = q * b_complement * a1_complement
-    other = (1.0 - q) * a_complement * b1_complement
+    own = b_complement / q * (a1_complement / q_star)
+    other = (1.0 - q) / q * (a_complement / q_star) * (b1_complement / q)
     return own / (own + other)
 
 
 def _reliability_excess(n, k, p: float, q, xp=math):
-    """Numerator of reliability_from_trust(n, k, q) - p, with a sign to trust.
+    """reliability_from_trust(n, k, q) - p times a positive factor, with a
+    sign to trust.
 
-    That is q(1-p) B A1 - p(1-q) A B1, where A, A1 = 1-(1-q*)^n, 1-(1-q*)^(n-1)
-    with q* = (1-q)/k, and B, B1 are the same for q. Where A < 2**-10
-    (k much larger than n) it is computed as written, from complements that
-    expm1 makes accurate. Elsewhere the products are close to 1 and it is
-    (q - p) + p(1-q) alpha - q(1-p) beta, with alpha = 1 - A B1 and
-    beta = 1 - B A1 built from positive terms, whose sign stays right where
-    the equilibrium gap underflows. The form is chosen per element, so numpy
-    lanes (xp=numpy; n, k and q may be arrays) and scalar calls agree, and
-    the products are formed only when some element needs them.
+    The difference's numerator is q(1-p) B A1 - p(1-q) A B1, where
+    A, A1 = 1-(1-q*)^n, 1-(1-q*)^(n-1) with q* = (1-q)/k, and B, B1 are the
+    same for q. That is (q - p) B A1 + p(1-q) D, where D = B A1 - A B1 is
+    d (1-q)^(n-1) A1 + q* (1-q*)^(n-1) expm1((n-1) log1p(-d/(1-q*))) with
+    d = q - q* = ((k+1)q - 1)/k. This returns it divided by p q q*, from the
+    ratios B/q, A1/q* and d/q, none of which underflows even where p and q*
+    are near 1e-300. Near the root the numerator's two products agree in
+    nearly all their digits; this form subtracts no such pair, so its sign
+    stays right next to the signal floor (where q* is close to q and D
+    vanishes), where k is far above n and where the equilibrium gap
+    underflows. Needs q < 1; towards q = 1 it tends to (1-p)(n-1)/p. With
+    xp=numpy, n, k and q may be arrays.
     """
-    a, a1, a_complement, a1_complement = _powers((1.0 - q) / k, n, xp)
-    b, b1, b_complement, b1_complement = _powers(q, n, xp)
-    small = a_complement < 2.0**-10
-    some_small = small if xp is math else small.any()
-    if some_small:
-        products = (1.0 - p) * q * b_complement * a1_complement - (
-            p * (1.0 - q) * a_complement * b1_complement
-        )
-        if xp is math:
-            return products
-    alpha = a + b1 * a_complement
-    beta = b + a1 * b_complement
-    sums = (q - p) + p * (1.0 - q) * alpha - q * (1.0 - p) * beta
-    return xp.where(small, products, sums) if some_small else sums
+    q_star = (1.0 - q) / k
+    _, a1, _, a1_complement = _powers(q_star, n, xp)
+    _, b1, b_complement, _ = _powers(q, n, xp)
+    d = (q * (k + 1.0) - 1.0) / k
+    a_ratio = a1_complement / q_star
+    shrink = xp.expm1((n - 1) * xp.log1p(-d / (1.0 - q_star)))
+    cross = (d * b1 * a_ratio + a1 * shrink) / q  # D / (q q*)
+    return (q - p) / p * (b_complement / q) * a_ratio + (1.0 - q) * cross
 
 
 def trust_decrease_threshold(p: float, k: int) -> float:
@@ -271,13 +276,11 @@ def trust_decrease_threshold(p: float, k: int) -> float:
 def single_searcher_optimal_trust(p: float, k: int) -> float:
     """Optimal trust of a lone searcher minimizing expected time to arrive.
 
-    Comparison baseline for the competitive game: (p - sqrt(k p (1-p))) /
-    (1 - (k+1)(1-p)), decreasing in k, undefined where the denominator
-    vanishes at p = k/(k+1).
+    Comparison baseline for the competitive game: 1 / (1 + sqrt(k(1-p)/p)),
+    decreasing in k. It equals (p - sqrt(k p (1-p))) / (1 - (k+1)(1-p)),
+    whose numerator and denominator both vanish at p = k/(k+1), where the
+    value is 1/2; this form has no such point.
     """
     k = _as_count(k, "k", 1)
     p = _as_reliability(p, k)
-    denominator = 1.0 - (k + 1) * (1.0 - p)
-    if denominator == 0.0:
-        raise ValueError("p must not equal k/(k+1); the baseline is undefined there")
-    return (p - math.sqrt(k) * math.sqrt(p * (1.0 - p))) / denominator
+    return 1.0 / (1.0 + math.sqrt(k * (1.0 - p)) / math.sqrt(p))

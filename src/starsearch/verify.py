@@ -9,10 +9,11 @@ grows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .equilibrium import _Q_TOL, EquilibriumSolution, solve_equilibrium, sweep_n
+from .equilibrium import _GRID_BITS, EquilibriumSolution, solve_equilibrium, sweep_n
 from .model import (
     GameParams,
     _as_int,
@@ -160,19 +161,20 @@ def check_probability_matching(
 
     For each population size the gap q_bar(n) - p must be strictly positive;
     between consecutive entries that both exceed the decrease threshold the
-    gap must not grow by more than the solver's bracket width _Q_TOL
-    (consecutive roots are only located to it, so smaller decreases cannot
-    be resolved); and the final gap must fall below _FINAL_GAP_TOL.
+    gap must not grow by more than one cell of the solver's grid,
+    2**_GRID_BITS ulps of the earlier q_bar (consecutive roots are only
+    located to a cell, so smaller decreases cannot be resolved); and the
+    final gap must fall below _FINAL_GAP_TOL.
     """
     curve = sweep_n(k, p, n_values)
-    ns = curve.xs
+    ns, q_bars = curve.xs, curve.ys
     threshold = trust_decrease_threshold(p, k)
-    gaps = tuple(q_bar - p for q_bar in curve.ys)
     decreasing = all(
-        later <= earlier + _Q_TOL
-        for n, earlier, later in zip(ns, gaps, gaps[1:])
+        later <= earlier + 2.0**_GRID_BITS * math.ulp(earlier)
+        for n, earlier, later in zip(ns, q_bars, q_bars[1:])
         if n > threshold
     )
+    gaps = tuple(q_bar - p for q_bar in q_bars)
     return ProbabilityMatchingReport(
         k=k,
         p=float(p),

@@ -62,13 +62,6 @@ class TestSolve:
         _, out, _ = run_cli(capsys, *argv, "--format", "csv")
         assert out.splitlines()[0] == ",".join(names)
 
-    def test_custom_tolerance(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "solve", "--n", "5", "--k", "3", "--p", "0.5", "--tol", "1e-6"
-        )
-        payload = json.loads(out)
-        assert payload["bracket_hi"] - payload["bracket_lo"] <= 1e-6
-
     @pytest.mark.parametrize("argv,name", [
         (["--n", HUGE, "--k", "1"], "n"), (["--n", "2", "--k", HUGE], "k"),
     ])
@@ -76,18 +69,14 @@ class TestSolve:
         code, out, err = run_cli(capsys, "solve", *argv, "--p", "0.6")
         assert (code, out, err) == (2, "", f"{name} must fit in a double\n")
 
-    def test_p_inside_the_bracket_margin_exits_one(self, capsys):
-        # A valid p within about 1e-9 of its floor lies outside the solver's
-        # bracket; the SolverError maps to exit 1.
-        code, out, err = run_cli(
-            capsys, "solve", "--n", "5", "--k", "1", "--p", "0.5000000001"
-        )
-        assert (code, out) == (1, "")
-        assert err == (
-            "internal error: no sign change across the solver's bracket "
-            "[0.500000001, 0.999999999] for n=5, k=1, p=0.5000000001; "
-            "p is too close to its domain boundary\n"
-        )
+    @pytest.mark.parametrize("n,k,p", [
+        ("5", "1", "0.5000000001"), ("2", "1", "0.99999999999999989"),
+        ("2", "41", "0.02380952380952381"), ("5", "1000000000000", "1e-10"),
+    ])
+    def test_p_next_to_its_domain_ends_solves(self, capsys, n, k, p):
+        code, out, err = run_cli(capsys, "solve", "--n", n, "--k", k, "--p", p)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["q_bar"] > float(p)
 
     def test_ray_count_far_above_population(self, capsys):
         code, out, err = run_cli(
@@ -356,16 +345,17 @@ class TestSingleSearcher:
         assert float(out) == pytest.approx(0.75, abs=1e-12)
 
     def test_undefined_point_exits_two(self, capsys):
-        # For k=1 the undefined point p=0.5 coincides with the signal floor,
-        # so the floor message fires; a pure denominator zero needs k >= 2.
+        # For k=1 the point p = k/(k+1) = 0.5 is the signal floor.
         code, _, err = run_cli(capsys, "single-searcher", "--p", "0.5", "--k", "1")
         assert code == 2
         assert "p must exceed 1/(k+1)" in err
-        code, _, err = run_cli(
+
+    def test_one_half_at_k_over_k_plus_one(self, capsys):
+        code, out, _ = run_cli(
             capsys, "single-searcher", "--p", format(2 / 3, ".17g"), "--k", "2"
         )
-        assert code == 2
-        assert "k/(k+1)" in err
+        assert code == 0
+        assert float(out) == pytest.approx(0.5, rel=1e-15)
 
 
 def option_help(capsys, command):

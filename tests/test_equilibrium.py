@@ -1,5 +1,5 @@
 import math
-import re
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +8,6 @@ import pytest
 from starsearch import (
     CurveSamples,
     GameParams,
-    SolverError,
     TrustProfile,
     check_probability_matching,
     equilibrium_residual,
@@ -21,7 +20,8 @@ from starsearch import (
     sweep_n,
     trust_decrease_threshold,
 )
-from starsearch.equilibrium import _FREE_STEPS, _LANE_MIN, _grid
+from starsearch.acceptance import _random_game
+from starsearch.equilibrium import _FREE_STEPS, _GRID_BITS, _LANE_MIN
 from starsearch.model import _reliability_excess
 
 
@@ -29,21 +29,32 @@ def scalar_q_bar(n, k, p):
     return solve_equilibrium(GameParams(n, k, p)).q_bar
 
 
+def bits(x):
+    """The bit pattern of a double, as an int."""
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def double(pattern):
+    return struct.unpack("<d", struct.pack("<q", pattern))[0]
+
+
+CELL = 2**_GRID_BITS  # grid points are the doubles whose bits are multiples of CELL
+
+
 def grid_bisection(n, k, p):
     """q_bar by its definition: the first point where the excess is positive
-    among the multiples of 2**-42 (the largest power of two at most a
-    quarter of the default 1e-12 tolerance) inside [1/(k+1) + 1e-9,
-    1 - 1e-9] and that bracket's upper end, found by plain bisection on the
-    excess's sign alone."""
-    top = math.ceil((1 - 1e-9) * 2**42)
-    lo, hi = math.floor((1 / (k + 1.0) + 1e-9) * 2**42), top
+    among the doubles whose bit pattern is a multiple of CELL, above the one
+    at or below p (where the excess is negative) and up to 1.0 (where the
+    solver's sign function tends to (1-p)(n-1)/p > 0), found by plain
+    bisection on the excess's sign alone."""
+    lo, hi = bits(p) // CELL, bits(1.0) // CELL
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _reliability_excess(n, k, p, mid / 2**42) > 0.0:
+        if _reliability_excess(n, k, p, double(mid * CELL)) > 0.0:
             hi = mid
         else:
             lo = mid
-    return hi / 2**42 if hi < top else 1 - 1e-9
+    return double(hi * CELL)
 
 
 def exact_excess(n, k, p, q):
@@ -53,6 +64,21 @@ def exact_excess(n, k, p, q):
     a, a1 = 1 - (1 - other) ** n, 1 - (1 - other) ** (n - 1)
     b, b1 = 1 - (1 - q) ** n, 1 - (1 - q) ** (n - 1)
     return (1 - p) * q * b * a1 - p * (1 - q) * a * b1
+
+
+def exact_sign_function(n, k, p, q):
+    """exact_excess / (1 - q), which has the solver's sign function's sign,
+    and its limit (1-p)(n-1)/k at q = 1, where the numerator vanishes."""
+    if q == 1.0:
+        return (1 - Fraction(p)) * (n - 1) / k
+    return exact_excess(n, k, p, q) / (1 - Fraction(q))
+
+
+def assert_exact_bracket(n, k, p, solution):
+    """The sign function is exactly <= 0 at bracket_lo and > 0 at bracket_hi,
+    which proves that the root lies in (lo, hi]."""
+    assert exact_sign_function(n, k, p, solution.bracket_lo) <= 0
+    assert exact_sign_function(n, k, p, solution.bracket_hi) > 0
 
 
 def sign_changes(values):
@@ -87,14 +113,6 @@ class TestSolveEquilibrium:
         a = solve_equilibrium(GameParams(17, 4, 0.61))
         b = solve_equilibrium(GameParams(17, 4, 0.61))
         assert a == b
-
-    def test_custom_tolerance_respected(self):
-        solution = solve_equilibrium(GameParams(5, 3, 0.5), q_tol=1e-6)
-        assert solution.bracket_hi - solution.bracket_lo <= 1e-6
-
-    def test_bad_tolerance_rejected(self):
-        with pytest.raises(ValueError, match="q_tol"):
-            solve_equilibrium(GameParams(5, 3, 0.5), q_tol=0.0)
 
     def test_trust_exceeds_reliability_everywhere(self):
         rng = np.random.default_rng(7)
@@ -153,12 +171,6 @@ class TestGridAnswer:
         assert tuple(scalar_q_bar(n, k, p) for k in ks) == expected
 
 
-# Grid exponent M for each tolerance: the least M >= 0 with 2**-M <= q_tol / 4,
-# at most 1020.
-GRID_BITS = {
-    10.0: 0, 1e-3: 12, 1e-6: 22, 1e-12: 42, 1e-16: 56, 1e-300: 999, 5e-324: 1020,
-}
-
 EDGE_TRIPLES = [
     (n, k, p)
     for n in (2, 10**6)
@@ -167,22 +179,42 @@ EDGE_TRIPLES = [
 ]
 
 
+# Distances of p from the ends of its domain, relative to the domain's width,
+# from well inside it (10.0: 1/11 of the way from an end) to one ulp from it.
+EDGE_GAPS = (10.0, 1e-3, 1e-6, 1e-12, 1e-16, 1e-300, 5e-324)
+
+
+def edge_reliabilities(k, gap):
+    """The two valid p at relative distance gap/(1+gap) from the ends of
+    (1/(k+1), 1), each clamped to the double next to its end."""
+    floor = 1 / (k + 1)
+    share = (1 - floor) * (gap / (1 + gap))
+    return max(floor + share, math.nextafter(floor, 1.0)), min(1 - share, 1 - 2**-53)
+
+
+def assert_within_the_bound(n, k, p):
+    solution = solve_equilibrium(GameParams(n, k, p))
+    lo, hi = solution.bracket_lo, solution.bracket_hi
+    span = bits(1.0) // CELL - bits(p) // CELL
+    assert solution.iterations <= span.bit_length() + _FREE_STEPS
+    assert solution.q_bar == hi > p
+    assert bits(lo) % CELL == 0 and bits(hi) - bits(lo) == CELL
+    assert _reliability_excess(n, k, p, lo) <= 0.0
+    # At q = 1 the sign function is its limit (1-p)(n-1)/k > 0.
+    assert hi == 1.0 or _reliability_excess(n, k, p, hi) > 0.0
+
+
 class TestStepRule:
-    @pytest.mark.parametrize("q_tol", sorted(GRID_BITS))
-    def test_evaluations_within_the_bound_at_the_edges(self, q_tol):
-        bits = GRID_BITS[q_tol]
-        assert _grid(3, q_tol)[0] == bits
-        for n, k, p in EDGE_TRIPLES:
-            solution = solve_equilibrium(GameParams(n, k, p), q_tol=q_tol)
-            lo, hi = solution.bracket_lo, solution.bracket_hi
-            assert solution.iterations <= bits + _FREE_STEPS
-            assert solution.q_bar == hi > p
-            assert _reliability_excess(n, k, p, lo) <= 0.0
-            assert _reliability_excess(n, k, p, hi) > 0.0
-            adjacent = math.nextafter(lo, 1.0) == hi
-            assert adjacent or hi - lo <= q_tol / 4
-            if lo >= 2.0 ** (52 - bits):  # the grid holds every double here
-                assert adjacent
+    @pytest.mark.parametrize("gap", EDGE_GAPS)
+    def test_evaluations_within_the_bound_at_the_edges(self, gap):
+        for n in (2, 5, 10**6):
+            for k in (1, 3, 10**12, 10**30):
+                for p in edge_reliabilities(k, gap):
+                    assert_within_the_bound(n, k, p)
+
+    def test_evaluations_within_the_bound_on_the_edge_triples(self):
+        for n, k, p in EDGE_TRIPLES + [(5, 10**12, 1e-10)]:
+            assert_within_the_bound(n, k, p)
 
     def test_exact_signs_at_the_final_bracket(self):
         # excess(lo) <= 0 < excess(hi) in exact arithmetic proves that the
@@ -196,6 +228,47 @@ class TestStepRule:
             solution = solve_equilibrium(GameParams(n, k, p))
             assert exact_excess(n, k, p, solution.bracket_lo) <= 0
             assert exact_excess(n, k, p, solution.bracket_hi) > 0
+
+    def test_relative_resolution_at_a_tiny_reliability(self):
+        # A cell is 1,024 ulps, at most 2**-42 (2.3e-13) of its upper end, at
+        # every scale, so however small p is the root is located that finely.
+        n, k, p = 5, 10**8, 1.5e-8
+        solution = solve_equilibrium(GameParams(n, k, p))
+        assert_exact_bracket(n, k, p, solution)
+        assert solution.bracket_hi - solution.bracket_lo <= 2**-42 * solution.q_bar
+
+
+class TestBracketEnds:
+    """The bracket runs from p's grid point to 1.0, so every valid p solves."""
+
+    def test_excess_negative_at_p_on_criterion_3s_grid(self):
+        # The paper's theorem q_bar > p, which lets the solver start at p
+        # without evaluating a sign there, checked in exact arithmetic on
+        # the acceptance suite's own triples.
+        rng = np.random.default_rng(1003)
+        for _ in range(300):
+            params = _random_game(rng, 100, 10)
+            assert exact_excess(params.n, params.k, params.p, params.p) < 0
+
+    def test_p_next_to_the_signal_floor(self):
+        for k in range(1, 200):
+            p = 1 / (k + 1)
+            for _ in range(3):
+                p = math.nextafter(p, 1.0)
+                for n in (2, 5, 100):
+                    solution = solve_equilibrium(GameParams(n, k, p))
+                    assert solution.q_bar > p
+                    assert_exact_bracket(n, k, p, solution)
+
+    def test_p_next_to_one(self):
+        p = 1 - 2**-53
+        for n in (2, 5, 100, 10**6):
+            for k in (1, 3, 10**30):
+                solution = solve_equilibrium(GameParams(n, k, p))
+                assert solution.q_bar == 1.0
+                assert solution.residual == 1 - p
+                if n <= 100:
+                    assert_exact_bracket(n, k, p, solution)
 
 
 class TestCurveSamples:
@@ -314,8 +387,8 @@ class TestSweeps:
         curve = sweep_n(3, 0.5, [100, 1000, 10_000])
         gaps = [y - 0.5 for y in curve.ys]
         assert all(g > 0 for g in gaps)
-        # Consecutive roots are only located to the solver tolerance, so the
-        # decrease is asserted with that much slack.
+        # Consecutive roots are only located to a grid cell (1,024 ulps), so
+        # the decrease is asserted with 1e-12 of slack.
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-3
 
@@ -408,11 +481,14 @@ class TestLaneSolver:
         with pytest.raises(ValueError, match=floor):
             check_probability_matching(1, 0.5, range(2, 40))
 
-    def test_bracket_failure_names_the_lane(self):
-        # Within 1e-9 of the k = 1 floor only that lane's bracket fails.
-        p = 0.5 + 1e-13
-        with pytest.raises(SolverError, match=re.escape(f"n=5, k=1, p={p!r}")):
-            sweep_k(5, p, range(1, 40))
+    def test_p_one_ulp_above_the_first_floor(self):
+        # Every lane shares the bracket that starts at p, even the k = 1 lane
+        # whose signal floor lies one ulp below it.
+        p = math.nextafter(0.5, 1.0)
+        for n in (2, 5, 100):
+            curve = sweep_k(n, p, range(1, 40))
+            assert curve.ys == tuple(scalar_q_bar(n, k, p) for k in range(1, 40))
+            assert all(q_bar > p for q_bar in curve.ys)
 
 
 class TestLargeRayCount:
@@ -431,6 +507,16 @@ class TestLargeRayCount:
     @pytest.mark.parametrize("k", [10**6, 10**7])
     def test_residual_stays_small(self, k):
         assert solve_equilibrium(GameParams(2, k, 0.5)).residual <= 1e-10
+
+    @pytest.mark.parametrize("k", [10**150, 10**300])
+    def test_p_next_to_a_tiny_signal_floor(self, k):
+        # p, q and q* are all near 1/k, where the excess's products would
+        # underflow.
+        for n in (2, 5):
+            p = 2 / k
+            solution = solve_equilibrium(GameParams(n, k, p))
+            assert_exact_bracket(n, k, p, solution)
+            assert solution.residual <= 1e-12 * p
 
     def test_sweep_k_near_a_billion_matches_scalar_solves(self):
         ks = range(10**9, 10**9 + 40)

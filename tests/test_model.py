@@ -1,3 +1,4 @@
+import decimal
 import math
 import sys
 from fractions import Fraction
@@ -252,16 +253,17 @@ class TestEquilibriumResidual:
 
 
 def exact_excess_terms(n, k, p, q):
-    """The two products whose difference _reliability_excess evaluates, exactly."""
+    """The two products whose difference _reliability_excess evaluates
+    divided by p q q*, and p q q*, all exact."""
     p, q = Fraction(p), Fraction(q)
     q_star = (1 - q) / k
     a, a1 = 1 - (1 - q_star) ** n, 1 - (1 - q_star) ** (n - 1)
     b, b1 = 1 - (1 - q) ** n, 1 - (1 - q) ** (n - 1)
-    return q * (1 - p) * b * a1, p * (1 - q) * a * b1
+    return q * (1 - p) * b * a1, p * (1 - q) * a * b1, p * q * q_star
 
 
-# (n, k, q) at p = 0.6: the first four have k far above n and take the product
-# form, where the sums of alpha and beta would cancel; the others take the sums.
+# (n, k, q) at p = 0.6: the first four have k far above n, where every term
+# of the excess scales with q* = (1-q)/k; the others have k near n.
 EXCESS_POINTS = [
     (2, 10**7, 0.65), (2, 10**7, 0.6483), (5, 10**9, 0.62),
     (3, 2000, 0.75), (5, 3, 0.7), (5, 3, 0.631), (40, 7, 0.72), (2, 1, 0.9),
@@ -273,19 +275,29 @@ class TestReliabilityExcess:
 
     @pytest.mark.parametrize("n,k,q", EXCESS_POINTS)
     def test_scalar_matches_exact_rationals(self, n, k, q):
-        own, other = exact_excess_terms(n, k, 0.6, q)
-        value = _reliability_excess(n, k, 0.6, q)
-        assert abs(Fraction(value) - (own - other)) <= Fraction(1e-14) * (own + other)
+        own, other, scale = exact_excess_terms(n, k, 0.6, q)
+        value = Fraction(_reliability_excess(n, k, 0.6, q)) * scale
+        assert abs(value - (own - other)) <= Fraction(1e-14) * (own + other)
 
     def test_lanes_mixing_both_forms_match_exact_rationals(self):
         n, k, q = (np.array(column, dtype=float) for column in zip(*EXCESS_POINTS))
         values = _reliability_excess(n, k, 0.6, q, np)
         for (n, k, q), value in zip(EXCESS_POINTS, values.tolist()):
-            own, other = exact_excess_terms(n, k, 0.6, q)
-            assert abs(Fraction(value) - (own - other)) <= Fraction(1e-14) * (own + other)
+            own, other, scale = exact_excess_terms(n, k, 0.6, q)
+            value = Fraction(value) * scale
+            assert abs(value - (own - other)) <= Fraction(1e-14) * (own + other)
 
 
 class TestReliabilityFromTrust:
+    @pytest.mark.parametrize("n,k,q", [(2, 10**300, 3e-300), (5, 10**150, 1.5e-150)])
+    def test_matches_exact_rationals_where_its_terms_underflow(self, n, k, q):
+        # Both products are near 1/k**3, below the smallest double.
+        own, other, _ = exact_excess_terms(n, k, 0.5, q)
+        own, other = own / Fraction(0.5), other / Fraction(0.5)
+        exact = own / (own + other)
+        value = reliability_from_trust(n, k, q)
+        assert abs(Fraction(value) - exact) <= Fraction(1e-15) * exact
+
     def test_limit_toward_full_trust(self):
         assert reliability_from_trust(5, 3, 1 - 1e-9) > 1 - 1e-7
 
@@ -349,13 +361,29 @@ class TestSingleSearcherBaseline:
             0.6796227589829592, rel=1e-12
         )
 
-    def test_denominator_zero_rejected(self):
-        with pytest.raises(ValueError, match=r"k/\(k\+1\)"):
-            single_searcher_optimal_trust(2 / 3, 2)
+    @pytest.mark.parametrize("p,k", [(0.75, 3), (2 / 3, 2)])
+    def test_one_half_at_k_over_k_plus_one(self, p, k):
+        # Where the textbook form is 0/0.
+        assert single_searcher_optimal_trust(p, k) == pytest.approx(0.5, rel=1e-15)
+
+    def test_accurate_next_to_k_over_k_plus_one(self):
+        # Against the textbook form in 60-digit decimals: next to its 0/0 it
+        # cancels about 16 digits, which leaves 40.
+        with decimal.localcontext() as context:
+            context.prec = 60
+            for k in (2, 3, 7, 100, 10**6):
+                center = k / (k + 1)
+                for p in (center + i * math.ulp(center) for i in range(-3, 4)):
+                    x = decimal.Decimal(p)
+                    denominator = 1 - (k + 1) * (1 - x)
+                    if denominator == 0:  # p = 3/4 exactly, tested above
+                        continue
+                    textbook = (x - (k * x * (1 - x)).sqrt()) / denominator
+                    value = decimal.Decimal(single_searcher_optimal_trust(p, k))
+                    assert abs(value - textbook) <= decimal.Decimal(4e-16) * textbook
 
     def test_signal_floor_rejected(self):
-        # For k=1 the undefined point p=0.5 is also the signal floor, so the
-        # floor check fires first; both ways it is a domain error.
+        # For k=1 the point p = k/(k+1) = 0.5 is the signal floor.
         with pytest.raises(ValueError, match=r"p must exceed 1/\(k\+1\)"):
             single_searcher_optimal_trust(0.5, 1)
         with pytest.raises(ValueError, match=r"p must exceed 1/\(k\+1\)"):
