@@ -30,16 +30,20 @@ other searcher with probability o:
   f / (1 - s), independently of the landing turn;
 - given that it is, the number of co-arrivers is Binomial(n - 1, o).
 
-The capped and focal-in counts are single binomial draws per branch, and
-the co-arriver counts of the focal-in rounds one multinomial tally. Where
-the cap's chance is below the doubles' resolution, the finish turns' total
-is one negative-binomial draw, so a 65536-round block costs a few draws;
-a binding cap, or a total past numpy's range, costs one uniform per round.
+So a call draws the number of correct-pointer rounds, Binomial(rounds, p),
+and then for each branch, correct first: the capped count,
+Binomial(rounds, s^max_turns); the finish turns' total; the focal-in count,
+Binomial(finished, f / (1 - s)); and the co-arriver counts of the focal-in
+rounds as one multinomial tally. Where the cap's chance is below the
+doubles' resolution, the finish turns' total is finished plus a
+NegativeBinomial(finished, 1 - s) draw. To stay within numpy's range that
+draw is a sum of negative binomials with the same p, one per 2**50 turns of
+mean, each over at least 65536 rounds. Where the cap binds, or 65536 rounds'
+mean is past that range, each finished round costs one uniform.
 
-Determinism: rounds are processed in fixed blocks of 65536, block b drawing
-from a counter-based Philox stream keyed by (seed, b), and block results are
-reduced in block order. Reports are therefore bit-identical for identical
-configs no matter how blocks might be scheduled.
+Determinism: a call draws from one counter-based Philox stream keyed by the
+seed, in the order above, so a config's report is bit-identical on every
+run.
 """
 
 from __future__ import annotations
@@ -67,8 +71,9 @@ __all__ = [
 ]
 
 DEFAULT_MAX_TURNS = 1_000_000
-_BLOCK_ROUNDS = 1 << 16
+_CHUNK_ROUNDS = 1 << 16  # the per-round route's uniforms are drawn this many at a time
 _SEED_LIMIT = 1 << 64
+_ROUNDS_LIMIT = 1 << 63  # numpy's binomial takes counts below this
 _NEGBIN_MEAN_LIMIT = 2.0**50  # numpy's negative binomial fails from a mean ~2**59.5
 
 
@@ -86,6 +91,8 @@ class SimulationConfig:
         object.__setattr__(self, "rounds", _as_int(self.rounds, "rounds", 1))
         object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
         object.__setattr__(self, "max_turns", _as_int(self.max_turns, "max_turns", 1))
+        if self.rounds >= _ROUNDS_LIMIT:
+            raise ValueError("rounds must be below 2**63")
         if not 0 <= self.seed < _SEED_LIMIT:
             raise ValueError("seed must be an unsigned 64-bit integer")
 
@@ -154,13 +161,6 @@ def simulate_round(
     return RoundResult(0.0, [zero] * n, None)
 
 
-def _block_rng(seed: int, block: int) -> np.random.Generator:
-    import numpy as np
-
-    key = np.array([seed, block], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _log_no_landing(focal_p: float, other_p: float, n: int) -> float:
     """log s, where s = (1 - focal_p)(1 - other_p)^(n - 1) is the chance that
     nobody lands in a turn; -inf when somebody lands for sure.
@@ -208,16 +208,12 @@ def _sample_branch(
     other_p: float,
     n: int,
     max_turns: float,
-    coarrivals: tuple[np.ndarray, np.ndarray],
 ) -> tuple[float, float, float, int]:
-    """Play `rounds` rounds of one pointer branch without stepping turns.
+    """Play `rounds` rounds of one pointer branch in the module docstring's
+    draw order, without stepping turns.
 
     Returns the sum of focal shares, the sum of their squares, the sum of
-    finish turns and the number of uncapped rounds. coarrivals is
-    _coarrival_law(other_p, n). Draw order is fixed: the capped count, the
-    finish turns' total (one negative-binomial draw, or one uniform per
-    uncapped round where the cap binds), the focal-in count, then the
-    co-arriver tally as one multinomial draw.
+    finish turns and the number of uncapped rounds.
     """
     if focal_p == 0.0 and other_p == 0.0:
         # Nobody can ever land on this branch: every round is capped.
@@ -227,27 +223,38 @@ def _sample_branch(
     log_s = _log_no_landing(focal_p, other_p, n)
     log_capped = max_turns * log_s  # log s^max_turns
     landing = -math.expm1(log_s)  # 1 - s
+    no_landing = math.exp(log_s)
+    # m finished rounds last m + NegativeBinomial(m, 1 - s) turns, and that
+    # draw's mean is m s / (1 - s).
+    limit = _NEGBIN_MEAN_LIMIT * landing
     finished = rounds - int(rng.binomial(rounds, math.exp(log_capped)))
     if (finished and math.expm1(log_capped) == -1.0
-            and finished * math.exp(log_s) < _NEGBIN_MEAN_LIMIT * landing):
-        # Untruncated turns: a sum of geometrics is one negative binomial.
-        turn_total = finished + float(rng.negative_binomial(finished, landing))
+            and min(finished, _CHUNK_ROUNDS) * no_landing < limit):
+        # Untruncated turns: a sum of geometrics is one negative binomial,
+        # and so is a sum of negative binomials with the same p. A total
+        # past the limit is drawn in parts of at least a chunk of rounds.
+        part = finished if finished * no_landing < limit else int(limit / no_landing)
+        turn_total = float(finished)
+        for start in range(0, finished, part):
+            turn_total += float(rng.negative_binomial(min(part, finished - start), landing))
     else:
         # Inverse CDF of each landing turn, Geometric(1 - s) given it is at
         # most max_turns: the smallest t with 1 - s^t >= u (1 - s^max_turns).
-        # The arrays are updated in place because fresh block-sized
+        # The arrays are updated in place because fresh chunk-sized
         # temporaries cost as much as the arithmetic.
-        turns = rng.random(finished)
-        turns *= math.expm1(log_capped)
-        np.log1p(turns, out=turns)
-        turns /= log_s
-        np.clip(np.ceil(turns, out=turns), 1.0, max_turns, out=turns)
-        turn_total = float(np.sum(turns))
+        turn_total = 0.0
+        for start in range(0, finished, _CHUNK_ROUNDS):
+            turns = rng.random(min(_CHUNK_ROUNDS, finished - start))
+            turns *= math.expm1(log_capped)
+            np.log1p(turns, out=turns)
+            turns /= log_s
+            np.clip(np.ceil(turns, out=turns), 1.0, max_turns, out=turns)
+            turn_total += float(np.sum(turns))
     focal_in = int(rng.binomial(finished, min(focal_p / landing, 1.0)))
     # Co-arriver counts of the focal-in rounds, tallied by count: their law
     # is that of focal_in independent Binomial(n - 1, o) draws, at a cost
     # that does not grow with the rounds.
-    shares, chances = coarrivals
+    shares, chances = _coarrival_law(other_p, n)
     tally = rng.multinomial(focal_in, chances).astype(float)
     share_total = float(tally @ shares)
     share_sq = float(tally @ (shares * shares))
@@ -257,47 +264,31 @@ def _sample_branch(
 def estimate_payoff(config: SimulationConfig) -> SimulationReport:
     """Estimate the focal searcher's expected share over many rounds.
 
-    Samples the law of repeated simulate_round calls at a cost per block of
-    rounds that does not depend on the trusts. Per block, the number of
-    rounds with a correct pointer is Binomial(block rounds, p). On each
-    branch, with landing chances f (focal) and o (each other) and
-    s = (1 - f)(1 - o)^(n-1): Binomial(rounds, s^max_turns) rounds are capped
-    and score 0; the others finish on Geometric(1 - s) turns truncated at
-    max_turns, drawn as in _sample_branch; the focal searcher is among a
-    round's arrivers with probability f / (1 - s) and then shares with
-    Binomial(n - 1, o) co-arrivers, tallied in one multinomial draw.
-    Standard error is the sample standard deviation over all rounds divided
-    by sqrt(rounds); mean_finish_turn averages the uncapped rounds.
+    Samples the law of repeated simulate_round calls as the module docstring
+    describes. Standard error is the sample standard deviation over all
+    rounds divided by sqrt(rounds); mean_finish_turn averages the uncapped
+    rounds.
     """
+    import numpy as np
+
     params, profile = config.params, config.profile
     rounds = config.rounds
     # A cap beyond the float range never binds.
     max_turns = config.max_turns if config.max_turns <= sys.float_info.max else math.inf
 
-    branches = []
-    for is_correct in (True, False):
-        focal_p, other_p = _branch_probabilities(params, profile, is_correct)
-        branches.append((focal_p, other_p, _coarrival_law(other_p, params.n)))
-
-    total = 0.0
-    total_sq = 0.0
-    finish_total = 0.0
+    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    correct = int(rng.binomial(rounds, params.p))
+    total = total_sq = finish_total = 0.0
     finished = 0
-    n_blocks = (rounds + _BLOCK_ROUNDS - 1) // _BLOCK_ROUNDS
-    for block in range(n_blocks):
-        count = min(_BLOCK_ROUNDS, rounds - block * _BLOCK_ROUNDS)
-        rng = _block_rng(config.seed, block)
-        correct = int(rng.binomial(count, params.p))
-        for branch_rounds, (focal_p, other_p, coarrivals) in zip(
-            (correct, count - correct), branches
-        ):
-            share, share_sq, turns, done = _sample_branch(
-                rng, branch_rounds, focal_p, other_p, params.n, max_turns, coarrivals
-            )
-            total += share
-            total_sq += share_sq
-            finish_total += turns
-            finished += done
+    for branch_rounds, is_correct in ((correct, True), (rounds - correct, False)):
+        focal_p, other_p = _branch_probabilities(params, profile, is_correct)
+        share, share_sq, turns, done = _sample_branch(
+            rng, branch_rounds, focal_p, other_p, params.n, max_turns
+        )
+        total += share
+        total_sq += share_sq
+        finish_total += turns
+        finished += done
     capped = rounds - finished
 
     mean = total / rounds

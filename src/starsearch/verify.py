@@ -136,9 +136,12 @@ def check_equilibrium(params: GameParams) -> EquilibriumCheck:
     the solved trust, (b) no scanned deviation earns more than the symmetric
     share 1/n plus _PAYOFF_TOL, and (c) the equilibrium residual at the
     solution is at most _RESIDUAL_TOL. Failures are recorded, not raised.
+    The payoff is undefined at q = 1, so where q_bar is 1.0 the scan runs
+    against bracket_lo, the other end of the root's cell.
     """
     solution = solve_equilibrium(params)
-    scan = best_response_scan(params, solution.q_bar)
+    q = solution.q_bar if solution.q_bar < 1.0 else solution.bracket_lo
+    scan = best_response_scan(params, q)
     spacing = 1.0 / (len(scan.grid) - 1)
     argmax_gap = abs(scan.argmax_r - solution.q_bar)
     excess = scan.max_payoff - 1.0 / params.n

@@ -313,6 +313,13 @@ class TestSimulate:
         assert code == 0
         assert '"focal_std_error": 0,' in out
 
+    def test_rounds_from_two_to_the_63_exit_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--n", "2", "--k", "1", "--p", "0.6",
+            "--q", "0.7", "--rounds", str(2**63), "--seed", "1",
+        )
+        assert (code, out, err) == (2, "", "rounds must be below 2**63\n")
+
 
 class TestBestResponse:
     def test_round_trip_with_solve(self, capsys):

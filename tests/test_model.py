@@ -240,7 +240,12 @@ class TestEquilibriumResidual:
         assert abs(equilibrium_residual(params, q_bar)) < 1e-10
 
     @pytest.mark.parametrize(
-        "n,k,p,q", [(5, 3, 0.5, 1e-12), (5, 3, 0.5, 1 - 1e-12), (40, 7, 0.7, 1e-9)]
+        "n,k,p,q",
+        [
+            (5, 3, 0.5, 1e-12), (5, 3, 0.5, 1 - 1e-12), (40, 7, 0.7, 1e-9),
+            # p, q and q* all near 1/k: the residual is about -6e-239.
+            (5, 10**60, 2e-60, 3e-60),
+        ],
     )
     def test_matches_exact_rationals_at_extreme_trusts(self, n, k, p, q):
         exact = exact_residual(n, k, p, q)

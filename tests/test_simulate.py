@@ -1,7 +1,12 @@
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +26,26 @@ from starsearch.model import _powers
 from starsearch.simulate import _coarrival_law
 
 
+# Child interpreters import the package from this checkout.
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+
 def first_uniform(seed):
     return np.random.default_rng(seed).random()
+
+
+def finish_turn_moments(params, profile):
+    """Mean and variance of an uncapped round's finish turn: a mixture,
+    over the pointer branches, of geometrics with landing chance 1 - s."""
+    n, k, p = params.n, params.k, params.p
+    q, r = profile.q, profile.r
+    s_right = (1 - r) * (1 - q) ** (n - 1)
+    s_wrong = (1 - (1 - r) / k) * (1 - (1 - q) / k) ** (n - 1)
+    mean = second = 0.0
+    for weight, s in ((p, s_right), (1 - p, s_wrong)):
+        mean += weight / (1 - s)
+        second += weight * (1 + s) / (1 - s) ** 2
+    return mean, second - mean**2
 
 
 class TestSimulationConfig:
@@ -37,6 +60,14 @@ class TestSimulationConfig:
             SimulationConfig(params, profile, rounds=1, seed=-1)
         with pytest.raises(ValueError, match="seed"):
             SimulationConfig(params, profile, rounds=1, seed=2**64)
+
+    def test_rounds_below_two_to_the_63(self):
+        # numpy's binomial takes counts below 2**63, and estimate_payoff
+        # draws the correct-pointer rounds as one binomial of all rounds.
+        params, profile = GameParams(2, 1, 0.6), TrustProfile(0.5, 0.5)
+        with pytest.raises(ValueError, match=r"^rounds must be below 2\*\*63$"):
+            SimulationConfig(params, profile, rounds=2**63, seed=1)
+        assert SimulationConfig(params, profile, rounds=2**63 - 1, seed=1).rounds == 2**63 - 1
 
 
 class TestSimulateRound:
@@ -127,16 +158,30 @@ class TestEstimatePayoff:
         )
         assert estimate_payoff(config) == estimate_payoff(config)
 
-    def test_block_boundaries_do_not_skew_the_estimate(self):
-        # Round counts straddling the internal block size must behave alike.
-        params = GameParams(2, 1, 0.7)
-        profile = TrustProfile(0.6, 0.6)
-        for rounds in (65_535, 65_536, 65_537):
-            report = estimate_payoff(
-                SimulationConfig(params, profile, rounds=rounds, seed=5)
-            )
-            assert report.rounds_completed == rounds
-            assert abs(report.focal_mean_payoff - 0.5) < 5 * report.focal_std_error
+    @pytest.mark.parametrize("rounds", [65_535, 65_536, 65_537])
+    @pytest.mark.parametrize(
+        "params, profile, max_turns",
+        [
+            (GameParams(2, 1, 0.7), TrustProfile(0.6, 0.6), DEFAULT_MAX_TURNS),
+            # The cap binds, so finish turns take the per-round route, drawn
+            # 65,536 rounds at a time; with p this close to 1 every round has
+            # a correct pointer, so 65,537 rounds span two chunks.
+            (GameParams(3, 2, 1 - 1e-12), TrustProfile(0.02, 0.03), 400),
+        ],
+        ids=["default-cap", "binding-cap"],
+    )
+    def test_chunk_boundaries_do_not_skew_the_estimate(
+        self, params, profile, max_turns, rounds
+    ):
+        report = estimate_payoff(
+            SimulationConfig(params, profile, rounds=rounds, seed=5, max_turns=max_turns)
+        )
+        assert report.rounds_completed == rounds
+        assert report.capped_rounds == 0
+        exact = expected_payoff(params, profile)
+        assert abs(report.focal_mean_payoff - exact) < 5 * report.focal_std_error
+        mean, variance = finish_turn_moments(params, profile)
+        assert abs(report.mean_finish_turn - mean) < 5 * math.sqrt(variance / rounds)
 
     def test_geometric_finish_turns(self):
         # With a symmetric population the finish turn is a mixture of two
@@ -209,30 +254,22 @@ class TestEstimatePayoff:
         # turn total is one negative binomial draw; at 400 turns the
         # correct-pointer branch keeps s**400, about e**-28, so its turns are
         # drawn round by round. Both must give the geometric-mixture mean.
-        n, k, p, q, r = 3, 2, 0.9, 0.02, 0.03
+        params, profile = GameParams(3, 2, 0.9), TrustProfile(0.02, 0.03)
         rounds = 10**6
-        s_right = (1 - r) * (1 - q) ** (n - 1)
-        s_wrong = (1 - (1 - r) / k) * (1 - (1 - q) / k) ** (n - 1)
+        s_right = (1 - profile.r) * (1 - profile.q) ** 2
         untruncated = math.expm1(max_turns * math.log(s_right)) == -1.0
         assert untruncated == (max_turns == DEFAULT_MAX_TURNS)
         report = estimate_payoff(
-            SimulationConfig(
-                GameParams(n, k, p), TrustProfile(q, r), rounds=rounds, seed=44,
-                max_turns=max_turns,
-            )
+            SimulationConfig(params, profile, rounds=rounds, seed=44, max_turns=max_turns)
         )
-        mean = p / (1 - s_right) + (1 - p) / (1 - s_wrong)
-        second = p * (1 + s_right) / (1 - s_right) ** 2 + (1 - p) * (
-            1 + s_wrong
-        ) / (1 - s_wrong) ** 2
-        spread = math.sqrt((second - mean**2) / rounds)
+        mean, variance = finish_turn_moments(params, profile)
         assert report.capped_rounds == 0
-        assert abs(report.mean_finish_turn - mean) < 4 * spread
+        assert abs(report.mean_finish_turn - mean) < 4 * math.sqrt(variance / rounds)
 
     def test_turn_total_past_the_negative_binomial_range(self):
         # At trusts of 1e-20 a correct-pointer round lasts about 3e19 turns,
-        # so a block's turn total has a mean past what numpy's negative
-        # binomial accepts; those turns are drawn round by round.
+        # so even one round's turn total has a mean past what numpy's
+        # negative binomial accepts; those turns are drawn round by round.
         config = SimulationConfig(
             GameParams(3, 2, 0.6), TrustProfile(1e-20, 1e-20), rounds=2_000, seed=45,
             max_turns=10**400,
@@ -242,16 +279,53 @@ class TestEstimatePayoff:
         assert math.isfinite(report.mean_finish_turn)
         assert report.mean_finish_turn > 1e18
 
-    def test_cost_does_not_grow_with_the_rounds(self):
-        params = GameParams(2, 3, 0.5)
-        profile = TrustProfile(1e-4, 1e-4)
+    @pytest.mark.parametrize(
+        "params, profile, rounds, max_turns",
+        [
+            (GameParams(2, 3, 0.5), TrustProfile(1e-4, 1e-4), 10**8, DEFAULT_MAX_TURNS),
+            # A round lasts about 5e9 turns, so 10**7 rounds' turn total has a
+            # mean past the negative binomial's range and is drawn in parts.
+            (GameParams(2, 2, 0.6), TrustProfile(1e-10, 1e-10), 10**7, 10**12),
+        ],
+        ids=["long-rounds", "turn-total-in-parts"],
+    )
+    def test_cost_does_not_grow_with_the_rounds(self, params, profile, rounds, max_turns):
         start = time.perf_counter()
-        report = estimate_payoff(SimulationConfig(params, profile, rounds=10**8, seed=46))
+        report = estimate_payoff(
+            SimulationConfig(params, profile, rounds=rounds, seed=46, max_turns=max_turns)
+        )
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0
         assert report.capped_rounds == 0
         exact = expected_payoff(params, profile)
         assert abs(report.focal_mean_payoff - exact) < 4 * report.focal_std_error
+        mean, variance = finish_turn_moments(params, profile)
+        assert abs(report.mean_finish_turn - mean) < 4 * math.sqrt(variance / rounds)
+
+    def test_two_to_the_62_rounds_take_bounded_time(self):
+        # Rounds of about 1.2 turns, 2**62 of them. The call runs in a child
+        # process that is killed after 30 s, so a cost that grows with the
+        # rounds fails this test instead of hanging it.
+        params, profile = GameParams(4, 2, 0.6), TrustProfile(0.5, 0.6)
+        child = (
+            "import json, time\n"
+            "from starsearch import *\n"
+            "config = SimulationConfig(GameParams(4, 2, 0.6), TrustProfile(0.5, 0.6),"
+            " rounds=2**62, seed=62)\n"
+            "start = time.perf_counter()\n"
+            "report = estimate_payoff(config)\n"
+            "elapsed = time.perf_counter() - start\n"
+            "print(json.dumps([elapsed, report.focal_mean_payoff,"
+            " report.focal_std_error, report.capped_rounds]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, env=CHILD_ENV,
+            timeout=30.0, check=True,
+        )
+        elapsed, mean, std_error, capped = json.loads(proc.stdout)
+        assert elapsed < 1.0
+        assert capped == 0
+        assert abs(mean - expected_payoff(params, profile)) < 4 * std_error
 
     def test_capped_count_matches_its_law(self):
         # A round is capped when nobody lands in max_turns turns, which on a

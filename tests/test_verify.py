@@ -78,6 +78,10 @@ class TestCheckEquilibrium:
             (5, 3, 2 / 3, 0.70),
             (5, 3, 3 / 4, 0.78),
             (2, 1, 2 / 3, None),
+            # q_bar is 1.0 within one grid cell of p = 1, where the payoff
+            # is undefined; the scan runs against the cell's lower end.
+            (2, 1, 1 - 2**-53, 1.0),
+            (5, 3, 1 - 2**-50, 1.0),
         ],
     )
     def test_reference_instances_pass(self, n, k, p, expected_q):
