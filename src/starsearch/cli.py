@@ -21,8 +21,6 @@ from .equilibrium import (
     sweep_n,
 )
 from .model import GameParams, TrustProfile, single_searcher_optimal_trust
-from .simulate import DEFAULT_MAX_TURNS, SimulationConfig, estimate_payoff
-from .verify import best_response_scan
 
 __all__ = ["dispatch", "main"]
 
@@ -130,14 +128,21 @@ def _cmd_sweep_k(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    # Imported here, so that no other subcommand loads the simulator.
+    from .simulate import DEFAULT_MAX_TURNS, SimulationConfig, estimate_payoff
+
     params = GameParams(args.n, args.k, args.p)
     profile = TrustProfile(args.q, args.q if args.r is None else args.r)
-    config = SimulationConfig(params, profile, args.rounds, args.seed, args.max_turns)
+    max_turns = DEFAULT_MAX_TURNS if args.max_turns is None else args.max_turns
+    config = SimulationConfig(params, profile, args.rounds, args.seed, max_turns)
     _print_json(dataclasses.asdict(estimate_payoff(config)))
     return 0
 
 
 def _cmd_best_response(args) -> int:
+    # Imported here, so that no other subcommand but verify loads the verifier.
+    from .verify import best_response_scan
+
     params = GameParams(args.n, args.k, args.p)
     scan = best_response_scan(params, args.q, r_steps=args.steps)
     _print_csv("r,payoff", scan.grid)
@@ -207,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--rounds", type=int, required=True, help="rounds played")
     simulate.add_argument("--seed", type=int, required=True,
                           help="random seed, 0 to 2**64-1")
-    simulate.add_argument("--max-turns", type=int, default=DEFAULT_MAX_TURNS,
+    simulate.add_argument("--max-turns", type=int,
                           help="turns before a round is capped and scores 0")
     command("best-response", "scan deviations against fixed trust",
             _cmd_best_response, "--n --k --p --q --steps", steps=2001)

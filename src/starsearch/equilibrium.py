@@ -113,10 +113,12 @@ def solve_equilibrium(params: GameParams) -> EquilibriumSolution:
     q_bar > p makes the excess negative at every q <= p, and towards q = 1
     the sign function tends to (1-p)(n-1)/p > 0. So q_bar > p holds by
     construction, and for every valid p. Only signs at grid points decide
-    the answer, so lanes equal scalar solves. Regula falsi on the grid, from
-    the secant through the bracket ends (_probe, _step), takes at most
-    L + _FREE_STEPS evaluations after the lower end's, L the bit length of the
-    bracket's width in cells (at most 52), and typically 1.
+    the answer, so a lane of a sweep gives the same q_bar as a scalar solve
+    wherever numpy's and math's exp/log1p/expm1, which can differ in the
+    last bit, give the sign function the same sign. Regula falsi on the
+    grid, from the secant through the bracket ends (_probe, _step), takes at
+    most L + _FREE_STEPS evaluations after the lower end's, L the bit length
+    of the bracket's width in cells (at most 52), and typically 1.
     """
     n, k, p = params.n, params.k, params.p
     jl, jh = _index(p), _index(1.0)
@@ -197,8 +199,10 @@ def _q_bars(ns: Sequence[int], ks: Sequence[int], p: float) -> list[float]:
 
     The caller validates the strictest pair. From _LANE_MIN pairs on, they
     are lanes of one numpy solve with the same grid and step rule, so each
-    ends on its scalar solve's cell; p is shared, so every lane starts from
-    the same bracket and deadline. Finished lanes leave the arrays.
+    ends on its scalar solve's cell wherever numpy and math give the sign
+    function the same sign (see solve_equilibrium); p is shared, so every
+    lane starts from the same bracket and deadline. Finished lanes leave
+    the arrays.
     """
     if len(ns) < _LANE_MIN:
         return [solve_equilibrium(GameParams(n, k, p)).q_bar for n, k in zip(ns, ks)]

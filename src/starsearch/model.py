@@ -143,24 +143,33 @@ class TrustProfile:
         object.__setattr__(self, "r", _as_unit(self.r, "r"))
 
 
-def _branch_payoff(n: int, x: float, y):
-    """One pointer branch of the payoff: focal trust-rate y against others' x.
+def _branch_payoff(n: int, x: float):
+    """One pointer branch of the payoff, as a function of the focal
+    trust-rate y against others' x.
 
     The per-turn share y (1-(1-x)^n) / (n x) summed over the turns in which
     nobody has landed, whose chance per turn is (1-x)^(n-1) (1-y); the
     series' denominator 1 - (1-x)^(n-1) (1-y) is written as the positive sum
-    y + (1-y)(1-(1-x)^(n-1)). Only arithmetic operators touch y, so y may
-    be a numpy array.
+    y + (1-y)(1-(1-x)^(n-1)). The powers of x are taken once, for every y.
     """
     _, _, complement, complement1 = _powers(x, n)
-    return y * complement / (n * x) / (y + (1.0 - y) * complement1)
+    scale = n * x
+
+    def branch(y: float) -> float:
+        return y * complement / scale / (y + (1.0 - y) * complement1)
+
+    return branch
 
 
-def _payoff(n: int, k: int, p: float, q: float, r):
-    """expected_payoff without validation; r may be a numpy array."""
-    right = _branch_payoff(n, q, r)
-    wrong = _branch_payoff(n, (1.0 - q) / k, (1.0 - r) / k)
-    return p * right + (1.0 - p) * wrong
+def _payoff(n: int, k: int, p: float, q: float):
+    """expected_payoff without validation, as a function of the focal trust r."""
+    right = _branch_payoff(n, q)
+    wrong = _branch_payoff(n, (1.0 - q) / k)
+
+    def payoff(r: float) -> float:
+        return p * right(r) + (1.0 - p) * wrong((1.0 - r) / k)
+
+    return payoff
 
 
 def expected_payoff(params: GameParams, profile: TrustProfile) -> float:
@@ -175,7 +184,7 @@ def expected_payoff(params: GameParams, profile: TrustProfile) -> float:
     1/n from the arithmetic alone.
     """
     _require_interior_q(profile.q)
-    return _payoff(params.n, params.k, params.p, profile.q, profile.r)
+    return _payoff(params.n, params.k, params.p, profile.q)(profile.r)
 
 
 def equilibrium_residual(params: GameParams, q: float) -> float:

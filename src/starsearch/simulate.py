@@ -38,8 +38,9 @@ rounds as one multinomial tally. Where the cap's chance is below the
 doubles' resolution, the finish turns' total is finished plus a
 NegativeBinomial(finished, 1 - s) draw. To stay within numpy's range that
 draw is a sum of negative binomials with the same p, one per 2**50 turns of
-mean, each over at least 65536 rounds. Where the cap binds, or 65536 rounds'
-mean is past that range, each finished round costs one uniform.
+mean, each over at least 65536 rounds, drawn 65536 to an array. Where the
+cap binds, or 65536 rounds' mean is past that range, each finished round
+costs one uniform.
 
 Determinism: a call draws from one counter-based Philox stream keyed by the
 seed, in the order above, so a config's report is bit-identical on every
@@ -51,12 +52,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from .model import GameParams, TrustProfile, _as_count, _as_int, _require_interior_q
 
-if TYPE_CHECKING:  # numpy is imported where an array is built
+if TYPE_CHECKING:  # imported where a round's payoffs or an array is built
+    from fractions import Fraction
+
     import numpy as np
 
 __all__ = [
@@ -71,7 +73,9 @@ __all__ = [
 ]
 
 DEFAULT_MAX_TURNS = 1_000_000
-_CHUNK_ROUNDS = 1 << 16  # the per-round route's uniforms are drawn this many at a time
+# Arrays of draws (a part's turns, the per-round route's uniforms) are built
+# this many at a time, and a negative-binomial part spans at least this many rounds.
+_CHUNK = 1 << 16
 _SEED_LIMIT = 1 << 64
 _ROUNDS_LIMIT = 1 << 63  # numpy's binomial takes counts below this
 _NEGBIN_MEAN_LIMIT = 2.0**50  # numpy's negative binomial fails from a mean ~2**59.5
@@ -141,6 +145,8 @@ def simulate_round(
     (all payoffs 0). Draw order per turn is fixed: one uniform for the focal
     searcher, then a vector of n - 1 uniforms for the others.
     """
+    from fractions import Fraction
+
     n = params.n
     correct = bool(rng.random() < params.p)
     focal_p, other_p = _branch_probabilities(params, profile, correct)
@@ -229,22 +235,29 @@ def _sample_branch(
     limit = _NEGBIN_MEAN_LIMIT * landing
     finished = rounds - int(rng.binomial(rounds, math.exp(log_capped)))
     if (finished and math.expm1(log_capped) == -1.0
-            and min(finished, _CHUNK_ROUNDS) * no_landing < limit):
+            and min(finished, _CHUNK) * no_landing < limit):
         # Untruncated turns: a sum of geometrics is one negative binomial,
         # and so is a sum of negative binomials with the same p. A total
-        # past the limit is drawn in parts of at least a chunk of rounds.
+        # past the limit is drawn in parts of at least a chunk of rounds:
+        # whole parts a chunk of draws at a time, added one by one in draw
+        # order, then the rest.
         part = finished if finished * no_landing < limit else int(limit / no_landing)
+        parts, rest = divmod(finished, part)
         turn_total = float(finished)
-        for start in range(0, finished, part):
-            turn_total += float(rng.negative_binomial(min(part, finished - start), landing))
+        for start in range(0, parts, _CHUNK):
+            draws = rng.negative_binomial(part, landing, size=min(_CHUNK, parts - start))
+            for draw in draws.tolist():
+                turn_total += draw
+        if rest:
+            turn_total += float(rng.negative_binomial(rest, landing))
     else:
         # Inverse CDF of each landing turn, Geometric(1 - s) given it is at
         # most max_turns: the smallest t with 1 - s^t >= u (1 - s^max_turns).
         # The arrays are updated in place because fresh chunk-sized
         # temporaries cost as much as the arithmetic.
         turn_total = 0.0
-        for start in range(0, finished, _CHUNK_ROUNDS):
-            turns = rng.random(min(_CHUNK_ROUNDS, finished - start))
+        for start in range(0, finished, _CHUNK):
+            turns = rng.random(min(_CHUNK, finished - start))
             turns *= math.expm1(log_capped)
             np.log1p(turns, out=turns)
             turns /= log_s

@@ -10,6 +10,7 @@ grows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -105,19 +106,20 @@ def best_response_scan(
     q = _as_probability(q, "q")
     _require_interior_q(q)
     r_steps = _as_int(r_steps, "r_steps", 2)
-    import numpy as np
-
-    r = np.linspace(0.0, 1.0, r_steps)
-    payoff = _payoff(params.n, params.k, params.p, q, r)
-    peak = float(payoff.max())
-    tie_tol = _TIE_ULPS * np.finfo(float).eps * abs(peak)
-    tied = np.nonzero(payoff >= peak - tie_tol)[0]
-    best = int((tied[0] + tied[-1]) // 2)
+    # numpy.linspace(0, 1, r_steps)'s points: i times the step, then 1.0.
+    step = 1.0 / (r_steps - 1)
+    r = [i * step for i in range(r_steps - 1)]
+    r.append(1.0)
+    payoff = list(map(_payoff(params.n, params.k, params.p, q), r))
+    peak = max(payoff)
+    tie_tol = _TIE_ULPS * sys.float_info.epsilon * abs(peak)
+    tied = [i for i, value in enumerate(payoff) if value >= peak - tie_tol]
+    best = (tied[0] + tied[-1]) // 2
     return BestResponseScan(
         q_fixed=q,
-        grid=tuple(zip(r.tolist(), payoff.tolist())),
-        argmax_r=float(r[best]),
-        max_payoff=float(payoff[best]),
+        grid=tuple(zip(r, payoff)),
+        argmax_r=r[best],
+        max_payoff=payoff[best],
     )
 
 

@@ -426,22 +426,74 @@ def test_import_leaves_acceptance_unloaded():
     assert fresh_python(code).strip() == "False"
 
 
+def test_bare_import_loads_no_module_and_no_numpy():
+    code = (
+        "import sys, starsearch\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('starsearch.', 'numpy'))))\n"
+    )
+    assert fresh_python(code).strip() == "[]"
+
+
+def test_package_names_resolve_on_first_use():
+    code = (
+        "import starsearch\n"
+        "print(starsearch.model.__name__)\n"
+        "namespace = {}\n"
+        "exec('from starsearch import *', namespace)\n"
+        "del namespace['__builtins__']\n"
+        "print(len(starsearch.__all__), sorted(namespace) == starsearch.__all__)\n"
+        "print(all(namespace[name] is getattr(starsearch, name) for name in namespace))\n"
+        "try:\n"
+        "    starsearch.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert fresh_python(code).splitlines() == [
+        "starsearch.model",
+        "28 True",
+        "True",
+        "module 'starsearch' has no attribute 'no_such_name'",
+    ]
+
+
+def loaded_after(argvs: list[list[str]], modules: list[str]) -> list[list[str]]:
+    """The given modules loaded in a fresh interpreter after importing the
+    CLI, and after dispatching each argv in turn."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from starsearch.cli import dispatch\n"
+        f"modules = {modules!r}\n"
+        "loaded = [[m for m in modules if m in sys.modules]]\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert dispatch(argv) == 0\n"
+        "    loaded.append([m for m in modules if m in sys.modules])\n"
+        "print(loaded)\n"
+    )
+    return eval(fresh_python(code))
+
+
 def test_scalar_subcommands_leave_numpy_unloaded():
     # Only array-building paths import numpy; sweep-k below the lane
-    # threshold solves point by point.
+    # threshold solves point by point, and a best-response scan is scalar.
     argvs = [
         ["solve", "--n", "5", "--k", "3", "--p", "0.5"],
         ["single-searcher", "--p", "0.9", "--k", "2"],
         ["sweep-k", "--n", "5", "--p", "0.75", "--k-from", "1", "--k-to", "4"],
+        ["best-response", "--n", "5", "--k", "3", "--p", "0.5", "--q", "0.53"],
     ]
-    code = (
-        "import contextlib, io, sys, starsearch\n"
-        "from starsearch.cli import dispatch\n"
-        "loaded = ['numpy' in sys.modules]\n"
-        f"for argv in {argvs!r}:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert dispatch(argv) == 0\n"
-        "    loaded.append('numpy' in sys.modules)\n"
-        "print(loaded)\n"
-    )
-    assert fresh_python(code).strip() == str([False] * 4)
+    assert loaded_after(argvs, ["numpy"]) == [[]] * 5
+
+
+def test_solver_subcommands_leave_simulate_and_verify_unloaded():
+    argvs = [
+        ["solve", "--n", "5", "--k", "3", "--p", "0.5"],
+        ["sweep-k", "--n", "5", "--p", "0.75", "--k-from", "1", "--k-to", "20"],
+        ["single-searcher", "--p", "0.9", "--k", "2"],
+        ["curve-e", "--n", "5", "--k", "3", "--p", "0.5", "--q-min", "0.34",
+         "--q-max", "0.8", "--steps", "20"],
+        ["curve-f", "--n", "5", "--k", "3", "--q-min", "0.26", "--q-max", "0.99",
+         "--steps", "20"],
+    ]
+    modules = ["starsearch.simulate", "starsearch.verify"]
+    assert loaded_after(argvs, modules) == [[]] * 6

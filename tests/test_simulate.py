@@ -302,16 +302,15 @@ class TestEstimatePayoff:
         mean, variance = finish_turn_moments(params, profile)
         assert abs(report.mean_finish_turn - mean) < 4 * math.sqrt(variance / rounds)
 
-    def test_two_to_the_62_rounds_take_bounded_time(self):
-        # Rounds of about 1.2 turns, 2**62 of them. The call runs in a child
-        # process that is killed after 30 s, so a cost that grows with the
-        # rounds fails this test instead of hanging it.
-        params, profile = GameParams(4, 2, 0.6), TrustProfile(0.5, 0.6)
+    @staticmethod
+    def run_two_to_the_62_rounds(params, profile):
+        """Seconds, mean, standard error and capped count of a 2**62-round
+        call, made in a child process that is killed after 30 s, so that a
+        cost that grows with the rounds fails the test instead of hanging it."""
         child = (
             "import json, time\n"
             "from starsearch import *\n"
-            "config = SimulationConfig(GameParams(4, 2, 0.6), TrustProfile(0.5, 0.6),"
-            " rounds=2**62, seed=62)\n"
+            f"config = SimulationConfig({params!r}, {profile!r}, rounds=2**62, seed=62)\n"
             "start = time.perf_counter()\n"
             "report = estimate_payoff(config)\n"
             "elapsed = time.perf_counter() - start\n"
@@ -322,8 +321,24 @@ class TestEstimatePayoff:
             [sys.executable, "-c", child], capture_output=True, text=True, env=CHILD_ENV,
             timeout=30.0, check=True,
         )
-        elapsed, mean, std_error, capped = json.loads(proc.stdout)
+        return json.loads(proc.stdout)
+
+    def test_two_to_the_62_rounds_take_bounded_time(self):
+        # Rounds of about 1.2 turns: the turn total is one negative binomial.
+        params, profile = GameParams(4, 2, 0.6), TrustProfile(0.5, 0.6)
+        elapsed, mean, std_error, capped = self.run_two_to_the_62_rounds(params, profile)
         assert elapsed < 1.0
+        assert capped == 0
+        assert abs(mean - expected_payoff(params, profile)) < 4 * std_error
+
+    def test_two_to_the_62_rounds_of_long_play_take_bounded_time(self):
+        # Rounds of about 2,500 turns on the pointer-right branch: its turn
+        # total is drawn in about 1e7 negative-binomial parts, as arrays
+        # (about 3 s on a 2-CPU Xeon). Drawn one scalar call per part, the
+        # call took about 24 s there.
+        params, profile = GameParams(2, 3, 0.5), TrustProfile(1e-4, 1e-4)
+        elapsed, mean, std_error, capped = self.run_two_to_the_62_rounds(params, profile)
+        assert elapsed < 8.0
         assert capped == 0
         assert abs(mean - expected_payoff(params, profile)) < 4 * std_error
 

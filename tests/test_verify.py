@@ -65,6 +65,13 @@ class TestBestResponseScan:
         for r, payoff in scan.grid:
             assert payoff == expected_payoff(params, TrustProfile(q, r))
 
+    @pytest.mark.parametrize("steps", [2, 3, 101, 2001, 2002])
+    def test_grid_is_numpy_linspace(self, steps):
+        # The deviations are built without numpy, to linspace's bits.
+        scan = best_response_scan(GameParams(5, 3, 0.5), 0.53, r_steps=steps)
+        r = np.array([r for r, _ in scan.grid])
+        assert r.tobytes() == np.linspace(0.0, 1.0, steps).tobytes()
+
     def test_endpoint_q_rejected(self):
         with pytest.raises(ValueError, match="strictly inside"):
             best_response_scan(GameParams(5, 3, 0.5), 0.0)
