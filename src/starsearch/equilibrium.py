@@ -25,6 +25,7 @@ from .model import (
     _as_count,
     _as_int,
     _as_probability,
+    _landing,
     _reliability,
     _reliability_excess,
     _residual,
@@ -49,8 +50,9 @@ _GRID_BITS = 10
 _FREE_STEPS = 12
 
 # Batches of at least this many solves run as numpy lanes; smaller ones are
-# cheaper as per-point scalar solves (the measured crossover).
-_LANE_MIN = 16
+# cheaper as per-point scalar solves. The measured crossover is about 24
+# points for consecutive n or k and about 40 for n log-spaced to 1e6.
+_LANE_MIN = 32
 
 _DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")
 
@@ -60,8 +62,8 @@ class EquilibriumSolution:
     """Equilibrium trust plus solver diagnostics.
 
     q_bar equals bracket_hi, the upper end of the final grid cell.
-    iterations counts the sign-function evaluations after the one at the
-    lower end of the initial bracket.
+    iterations counts the solve's sign-function evaluations; neither end of
+    the initial bracket is evaluated.
     """
 
     q_bar: float
@@ -117,14 +119,16 @@ def solve_equilibrium(params: GameParams) -> EquilibriumSolution:
     wherever numpy's and math's exp/log1p/expm1, which can differ in the
     last bit, give the sign function the same sign. Regula falsi on the
     grid, from the secant through the bracket ends (_probe, _step), takes at
-    most L + _FREE_STEPS evaluations after the lower end's, L the bit length
-    of the bracket's width in cells (at most 52), and typically 1.
+    most L + _FREE_STEPS evaluations, L the bit length of the bracket's
+    width in cells (at most 52), and typically 1. The lower end's value
+    starts at 0, so the first probe is the grid point above p's, where the
+    answer lies for every n past a few hundred. The diagnostics take both
+    residuals from one pair of powers at q_bar.
     """
     n, k, p = params.n, params.k, params.p
     jl, jh = _index(p), _index(1.0)
     lo, hi = _point(jl), 1.0
-    # The lower end's value only steers the first secant.
-    fl, fh = min(_reliability_excess(n, k, p, lo), 0.0), (1.0 - p) * (n - 1) / p
+    fl, fh = 0.0, (1.0 - p) * (n - 1) / p
     last, deadline, iterations = 0, _first_deadline(jl, jh), 0
     while jh - jl > 1:
         jm = _probe(jl, jh, lo, hi, fl, fh, deadline)
@@ -134,10 +138,11 @@ def solve_equilibrium(params: GameParams) -> EquilibriumSolution:
         lo, hi = (x, hi) if jl == jm else (lo, x)
         deadline /= 2
         iterations += 1
+    landing = _landing(n, k, hi)
     return EquilibriumSolution(
         q_bar=hi,
-        residual=abs(_reliability(n, k, hi) - p),
-        e_residual=abs(_residual(n, k, p, hi)),
+        residual=abs(_reliability(hi, landing) - p),
+        e_residual=abs(_residual(k, p, hi, landing)),
         iterations=iterations,
         bracket_lo=lo,
         bracket_hi=hi,
@@ -182,16 +187,29 @@ def _probe(jl, jh, lo, hi, fl, fh, deadline, xp=math):
 
 def _step(jl, jh, fl, fh, last, jm, fm, xp=math):
     """Bracket (jl, jh), end values fl <= 0 < fh and last end moved (+1
-    upper, -1 lower) after probing jm with value fm. Illinois weighting:
-    when one end moves twice in a row the other end's value is halved (kept
-    positive), so guesses cannot stall on one side.
+    upper, -1 lower, 0 none) after probing jm with value fm. Anderson-Bjorck
+    weighting: when one end moves twice in a row, the other end's value is
+    scaled by m = 1 - fm / (the moved end's old value), or by 1/2 where
+    m <= 0 or that old value is 0, so guesses cannot stall on one side.
+    Both values share a sign, so m <= 1 and no value grows; one that would
+    underflow to 0 is kept. fm / old may overflow to -inf at a subnormal
+    end, which gives 1/2.
     """
-    where = (lambda c, a, b: a if c else b) if xp is math else xp.where
-    up, half = fm > 0.0, 0.5 * fh
-    jl, fl = where(up, jl, jm), where(up, where(last > 0, 0.5 * fl, fl), fm)
-    fh = where((last < 0) & (half > 0.0), half, fh)
-    jh, fh = where(up, jm, jh), where(up, fm, fh)
-    return jl, jh, fl, fh, where(up, 1, -1)
+    up = fm > 0.0
+    if xp is math:
+        old, other = (fh, fl) if up else (fl, fh)
+        if last == (1 if up else -1):
+            m = 1.0 - fm / old if old else 0.0
+            other = (m if m > 0.0 else 0.5) * other or other
+        return (jl, jm, other, fm, 1) if up else (jm, jh, fm, other, -1)
+    old, other = xp.where(up, fh, fl), xp.where(up, fl, fh)
+    with xp.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        m = 1.0 - fm / old
+    scaled = xp.where((old != 0.0) & (m > 0.0), m, 0.5) * other
+    moved = xp.where(up, 1, -1)
+    other = xp.where((last == moved) & (scaled != 0.0), scaled, other)
+    return (xp.where(up, jl, jm), xp.where(up, jm, jh),
+            xp.where(up, other, fm), xp.where(up, fm, other), moved)
 
 
 def _q_bars(ns: Sequence[int], ks: Sequence[int], p: float) -> list[float]:
@@ -213,8 +231,7 @@ def _q_bars(ns: Sequence[int], ks: Sequence[int], p: float) -> list[float]:
     deadline = _first_deadline(jl, jh)
     jl, jh = (np.full(len(ns), j, dtype=np.int64) for j in (jl, jh))
     lo, hi = _point(jl, np), np.ones(len(ns))
-    fl = np.minimum(_reliability_excess(n, k, p, lo, np), 0.0)
-    fh = (1.0 - p) * (n - 1) / p
+    fl, fh = np.zeros(len(ns)), (1.0 - p) * (n - 1) / p
     q_bars, lane, last = hi.copy(), np.arange(len(ns)), np.zeros(len(ns))
     while True:
         done = jh - jl <= 1
@@ -250,8 +267,9 @@ def residual_curve(
     import numpy as np
 
     qs = _uniform_grid(q_lo, q_hi, steps)
+    q = np.array(qs)
     with np.errstate(divide="ignore"):
-        es = _residual(params.n, params.k, params.p, np.array(qs), np)
+        es = _residual(params.k, params.p, q, _landing(params.n, params.k, q, np))
     return CurveSamples("q", "E", tuple(zip(qs, es.tolist())))
 
 
@@ -269,7 +287,8 @@ def reliability_curve(
     import numpy as np
 
     qs = _uniform_grid(q_lo, q_hi, steps)
-    fs = _reliability(n, k, np.array(qs), np)
+    q = np.array(qs)
+    fs = _reliability(q, _landing(n, k, q, np))
     return CurveSamples("q", "F", tuple(zip(qs, fs.tolist())))
 
 

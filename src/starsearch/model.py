@@ -151,12 +151,20 @@ def _branch_payoff(n: int, x: float):
     nobody has landed, whose chance per turn is (1-x)^(n-1) (1-y); the
     series' denominator 1 - (1-x)^(n-1) (1-y) is written as the positive sum
     y + (1-y)(1-(1-x)^(n-1)). The powers of x are taken once, for every y.
+    Where x is 0, as (1-q)/k is when k is huge and q near 1, the share
+    (1-(1-x)^n) / (n x) takes its limit 1; if y is 0 too, the branch is
+    0/0 and raises.
     """
     _, _, complement, complement1 = _powers(x, n)
-    scale = n * x
+    complement, scale = (complement, n * x) if x else (1.0, 1.0)
 
     def branch(y: float) -> float:
-        return y * complement / scale / (y + (1.0 - y) * complement1)
+        rest = y + (1.0 - y) * complement1
+        if not rest:
+            raise ValueError(
+                "payoff is 0/0: (1 - q)/k and (1 - r)/k both round to 0"
+            )
+        return y * complement / scale / rest
 
     return branch
 
@@ -194,15 +202,25 @@ def equilibrium_residual(params: GameParams, q: float) -> float:
     reliability p, negative means too high. Also vanishes at q = 1, which is
     why the solver brackets on the monotone reliability map instead.
     """
-    return _residual(params.n, params.k, params.p, _as_unit(q, "q"))
+    n, k, p = params.n, params.k, params.p
+    q = _as_unit(q, "q")
+    return _residual(k, p, q, _landing(n, k, q))
 
 
-def _residual(n: int, k: int, p: float, q, xp=math):
-    """equilibrium_residual without validation; q may be a numpy array."""
-    p_star = (1.0 - p) / k
+def _landing(n, k, q, xp=math):
+    """q* = (1-q)/k and A, A1, B, B1 = 1-(1-q*)^n, 1-(1-q*)^(n-1),
+    1-(1-q)^n, 1-(1-q)^(n-1): the chances that someone lands in a turn,
+    which _residual and _reliability share. q may be a numpy array."""
     q_star = (1.0 - q) / k
     _, _, a_complement, a1_complement = _powers(q_star, n, xp)
     _, _, b_complement, b1_complement = _powers(q, n, xp)
+    return q_star, a_complement, a1_complement, b_complement, b1_complement
+
+
+def _residual(k, p: float, q, landing):
+    """equilibrium_residual without validation, from _landing(n, k, q)."""
+    q_star, a_complement, a1_complement, b_complement, b1_complement = landing
+    p_star = (1.0 - p) / k
     return p * q_star * a_complement * b1_complement - (
         p_star * q * b_complement * a1_complement
     )
@@ -221,21 +239,19 @@ def reliability_from_trust(n: int, k: int, q: float) -> float:
     q = _as_probability(q, "q")
     if not 1.0 / (k + 1) < q < 1.0:
         raise ValueError("q must lie strictly inside (1/(k+1), 1)")
-    return _reliability(n, k, q)
+    return _reliability(q, _landing(n, k, q))
 
 
-def _reliability(n: int, k: int, q, xp=math):
-    """reliability_from_trust without validation; q may be a numpy array.
+def _reliability(q, landing):
+    """reliability_from_trust without validation, from _landing(n, k, q).
 
     own / (own + other), with own = q B A1 and other = (1-q) A B1 as in
     _reliability_excess, both divided by q q q* so that neither underflows
     where q and q* are near 1e-300. A float q = 1 gives the limit 1.
     """
-    if xp is math and q >= 1.0:
+    if isinstance(q, float) and q >= 1.0:
         return 1.0
-    q_star = (1.0 - q) / k
-    _, _, a_complement, a1_complement = _powers(q_star, n, xp)
-    _, _, b_complement, b1_complement = _powers(q, n, xp)
+    q_star, a_complement, a1_complement, b_complement, b1_complement = landing
     own = b_complement / q * (a1_complement / q_star)
     other = (1.0 - q) / q * (a_complement / q_star) * (b1_complement / q)
     return own / (own + other)

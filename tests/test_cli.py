@@ -344,6 +344,15 @@ class TestBestResponse:
         assert code == 0
         assert len(out.strip().splitlines()) == 12
 
+    def test_payoff_zero_over_zero_exits_two(self, capsys):
+        # (1 - q)/k rounds to 0, and so does (1 - r)/k at the grid's r = 1.
+        code, out, err = run_cli(
+            capsys, "best-response", "--n", "3", "--k", "17" + "0" * 307,
+            "--p", "0.5", "--q", "0.9999999999999999", "--steps", "3",
+        )
+        assert (code, out) == (2, "")
+        assert err == "payoff is 0/0: (1 - q)/k and (1 - r)/k both round to 0\n"
+
 
 class TestSingleSearcher:
     def test_value(self, capsys):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import statistics
 import struct
 from fractions import Fraction
 
@@ -20,8 +22,9 @@ from starsearch import (
     sweep_n,
     trust_decrease_threshold,
 )
+from starsearch import equilibrium
 from starsearch.acceptance import _random_game
-from starsearch.equilibrium import _FREE_STEPS, _GRID_BITS, _LANE_MIN
+from starsearch.equilibrium import _FREE_STEPS, _GRID_BITS, _LANE_MIN, _step
 from starsearch.model import _reliability_excess
 
 
@@ -215,6 +218,57 @@ class TestStepRule:
     def test_evaluations_within_the_bound_on_the_edge_triples(self):
         for n, k, p in EDGE_TRIPLES + [(5, 10**12, 1e-10)]:
             assert_within_the_bound(n, k, p)
+
+    def test_evaluation_counts_on_scattered_games(self):
+        # Counts, not times, so they are the same on every run.
+        rng = np.random.default_rng(2024)
+        counts = []
+        for _ in range(1000):
+            n = int(round(math.exp(rng.uniform(math.log(2), math.log(1e6)))))
+            k = int(rng.integers(1, 11))
+            floor = 1 / (k + 1)
+            p = floor + (1 - floor) * rng.uniform(0.01, 0.99)
+            counts.append(solve_equilibrium(GameParams(n, k, p)).iterations)
+        assert statistics.median(counts) <= 1
+        assert max(counts) <= 7
+
+    def test_iterations_count_every_evaluation(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _reliability_excess(*args)
+
+        monkeypatch.setattr(equilibrium, "_reliability_excess", counted)
+        for n, k, p in EDGE_TRIPLES:
+            calls.clear()
+            assert solve_equilibrium(GameParams(n, k, p)).iterations == len(calls)
+
+    def test_anderson_bjorck_weights(self):
+        # The lower end moves twice: the upper value is scaled by
+        # 1 - fm/fl, or halved where that factor is not positive.
+        assert _step(0, 9, -1.0, 2.0, -1, 4, -0.25) == (4, 9, -0.25, 1.5, -1)
+        assert _step(0, 9, -1.0, 2.0, -1, 4, -3.0) == (4, 9, -3.0, 1.0, -1)
+        # The upper end moves twice: the lower value is scaled the same way.
+        assert _step(0, 9, -2.0, 1.0, 1, 4, 0.5) == (0, 4, -1.0, 0.5, 1)
+        # An end moving once leaves the other's value alone.
+        assert _step(0, 9, -2.0, 1.0, -1, 4, 0.5) == (0, 4, -2.0, 0.5, 1)
+
+    def test_scalar_and_lane_steps_agree(self):
+        # Zero and subnormal end values, an infinite upper value and ratios
+        # fm / old that overflow: each lane must step like the scalar rule,
+        # with no RuntimeWarning.
+        tiny = 5e-324
+        lows = (0.0, -0.0, -tiny, -0.75, -1e300)
+        highs = (tiny, 0.75, 1e300, math.inf)
+        probes = (-1e300, -0.5, -tiny, -0.0, 0.0, tiny, 0.5, 1e300)
+        cases = list(itertools.product(lows, highs, (-1, 0, 1), probes))
+        scalar = [_step(10, 20, fl, fh, last, 15, fm) for fl, fh, last, fm in cases]
+        fl, fh, last, fm = (np.array(column) for column in zip(*cases))
+        jl, jh, jm = (np.full(len(cases), j) for j in (10, 20, 15))
+        lanes = _step(jl, jh, fl, fh, last, jm, fm, np)
+        assert [tuple(lane) for lane in zip(*(a.tolist() for a in lanes))] == scalar
+        assert all(fl <= 0.0 < fh for _, _, fl, fh, _ in scalar)
 
     def test_exact_signs_at_the_final_bracket(self):
         # excess(lo) <= 0 < excess(hi) in exact arithmetic proves that the
@@ -480,6 +534,24 @@ class TestLaneSolver:
             sweep_k(5, 0.5, range(1, 40))
         with pytest.raises(ValueError, match=floor):
             check_probability_matching(1, 0.5, range(2, 40))
+
+    def test_random_sweeps_match_scalar_solves(self):
+        rng = np.random.default_rng(1414)
+        for _ in range(300):
+            k = int(rng.integers(1, 41))
+            floor = 1 / (k + 1)
+            p = floor + (1 - floor) * rng.uniform(0.001, 0.999)
+            lo = math.exp(rng.uniform(math.log(2), math.log(1e4)))
+            hi = lo * math.exp(rng.uniform(math.log(100), math.log(1e5)))
+            ns = sorted({int(round(n)) for n in np.geomspace(lo, hi, 50)})
+            assert len(ns) >= _LANE_MIN
+            curve = sweep_n(k, p, ns)
+            assert curve.ys == tuple(scalar_q_bar(n, k, p) for n in ns)
+        for _ in range(100):
+            n = int(round(math.exp(rng.uniform(math.log(2), math.log(1e6)))))
+            p = 0.5 + 0.5 * rng.uniform(0.001, 0.999)
+            curve = sweep_k(n, p, range(1, 41))
+            assert curve.ys == tuple(scalar_q_bar(n, k, p) for k in range(1, 41))
 
     def test_p_one_ulp_above_the_first_floor(self):
         # Every lane shares the bracket that starts at p, even the k = 1 lane

@@ -191,6 +191,19 @@ class TestExpectedPayoff:
         value = expected_payoff(GameParams(n, k, p), TrustProfile(q, r))
         assert abs(Fraction(value) - exact) <= Fraction(1e-15) * exact
 
+    def test_off_ray_rate_rounding_to_zero(self):
+        # At k = 1.7e308 and q = 1 - 2**-53, (1 - q)/k rounds to 0.0: the
+        # pointer-wrong branch takes its limit as that rate goes to 0, where
+        # the focal searcher, with a positive rate, lands first and alone.
+        n, k, p, q, r = 3, 17 * 10**307, 0.5, 1 - 2**-53, 0.5
+        exact = exact_payoff(n, k, p, q, r)
+        value = expected_payoff(GameParams(n, k, p), TrustProfile(q, r))
+        assert abs(Fraction(value) - exact) <= Fraction(1e-15) * exact
+        # With the focal rate (1 - r)/k at 0 as well, the branch is 0/0.
+        for r in (q, 1.0):
+            with pytest.raises(ValueError, match=r"^payoff is 0/0: "):
+                expected_payoff(GameParams(n, k, p), TrustProfile(q, r))
+
     def test_endpoint_q_rejected(self):
         with pytest.raises(ValueError, match="strictly inside"):
             expected_payoff(GameParams(5, 3, 0.5), TrustProfile(0.0, 0.5))
