@@ -76,12 +76,7 @@ def _print_json(fields: dict[str, object]) -> None:
 
 def _cmd_solve(args) -> int:
     sol = solve_equilibrium(GameParams(args.n, args.k, args.p))
-    fields = dataclasses.asdict(sol)
-    if args.format == "csv":
-        print(",".join(fields))
-        print(",".join(map(_fmt, fields.values())))
-    else:
-        _print_json(fields)
+    _print_json(dataclasses.asdict(sol))
     return 0
 
 
@@ -129,12 +124,11 @@ def _cmd_sweep_k(args) -> int:
 
 def _cmd_simulate(args) -> int:
     # Imported here, so that no other subcommand loads the simulator.
-    from .simulate import DEFAULT_MAX_TURNS, SimulationConfig, estimate_payoff
+    from .simulate import SimulationConfig, estimate_payoff
 
     params = GameParams(args.n, args.k, args.p)
     profile = TrustProfile(args.q, args.q if args.r is None else args.r)
-    max_turns = DEFAULT_MAX_TURNS if args.max_turns is None else args.max_turns
-    config = SimulationConfig(params, profile, args.rounds, args.seed, max_turns)
+    config = SimulationConfig(params, profile, args.rounds, args.seed)
     _print_json(dataclasses.asdict(estimate_payoff(config)))
     return 0
 
@@ -144,7 +138,7 @@ def _cmd_best_response(args) -> int:
     from .verify import best_response_scan
 
     params = GameParams(args.n, args.k, args.p)
-    scan = best_response_scan(params, args.q, r_steps=args.steps)
+    scan = best_response_scan(params, args.q)
     _print_csv("r,payoff", scan.grid)
     summary = f"argmax_r={_fmt(scan.argmax_r)} max_payoff={_fmt(scan.max_payoff)}"
     print(summary, file=sys.stderr)
@@ -176,22 +170,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # A subcommand names the shared options it takes; each is required
-    # unless given a default here.
-    def command(name, summary, handler, shared="", **defaults):
+    # A subcommand names the shared options it takes, each of them required.
+    def command(name, summary, handler, shared=""):
         cmd = sub.add_parser(name, help=summary)
         for flag in shared.split():
             kind, text = _SHARED[flag]
-            dest = flag[2:].replace("-", "_")
-            cmd.add_argument(flag, type=kind, help=text, required=dest not in defaults,
-                             default=defaults.get(dest))
+            cmd.add_argument(flag, type=kind, help=text, required=True)
         cmd.set_defaults(handler=handler)
         return cmd
 
-    solve = command("solve", "solve for the equilibrium trust", _cmd_solve,
-                    "--n --k --p")
-    solve.add_argument("--format", choices=("csv", "json"), default="json",
-                       help="output format")
+    command("solve", "solve for the equilibrium trust", _cmd_solve, "--n --k --p")
     command("curve-e", "sample the equilibrium residual", _cmd_curve_e,
             "--n --k --p --q-min --q-max --steps")
     command("curve-f", "sample the trust-to-reliability map", _cmd_curve_f,
@@ -212,10 +200,8 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--rounds", type=int, required=True, help="rounds played")
     simulate.add_argument("--seed", type=int, required=True,
                           help="random seed, 0 to 2**64-1")
-    simulate.add_argument("--max-turns", type=int,
-                          help="turns before a round is capped and scores 0")
     command("best-response", "scan deviations against fixed trust",
-            _cmd_best_response, "--n --k --p --q --steps", steps=2001)
+            _cmd_best_response, "--n --k --p --q")
     verify = command("verify", "run the acceptance suite", _cmd_verify)
     verify.add_argument("--quick", action="store_true",
                         help="smaller grids and Monte Carlo sizes")

@@ -145,26 +145,25 @@ class TrustProfile:
 
 def _branch_payoff(n: int, x: float):
     """One pointer branch of the payoff, as a function of the focal
-    trust-rate y against others' x.
+    trust-rate y against others' x, and of t = y/x.
 
     The per-turn share y (1-(1-x)^n) / (n x) summed over the turns in which
     nobody has landed, whose chance per turn is (1-x)^(n-1) (1-y); the
     series' denominator 1 - (1-x)^(n-1) (1-y) is written as the positive sum
-    y + (1-y)(1-(1-x)^(n-1)). The powers of x are taken once, for every y.
-    Where x is 0, as (1-q)/k is when k is huge and q near 1, the share
-    (1-(1-x)^n) / (n x) takes its limit 1; if y is 0 too, the branch is
-    0/0 and raises.
+    y + (1-y)(1-(1-x)^(n-1)). Divided through by x, the branch is
+    t S / (t + (1-y) S1), with S = (1-(1-x)^n) / (n x) and
+    S1 = (1-(1-x)^(n-1)) / x taken once, for every y. The caller forms t
+    from ratios that do not underflow, so where x is 0, as (1-q)/k is when
+    k is huge and q near 1, S and S1 take their limits 1 and n - 1 and the
+    branch stays defined. Where t overflows, the branch is its limit S.
     """
     _, _, complement, complement1 = _powers(x, n)
-    complement, scale = (complement, n * x) if x else (1.0, 1.0)
+    share, share1 = (complement / (n * x), complement1 / x) if x else (1.0, n - 1.0)
 
-    def branch(y: float) -> float:
-        rest = y + (1.0 - y) * complement1
-        if not rest:
-            raise ValueError(
-                "payoff is 0/0: (1 - q)/k and (1 - r)/k both round to 0"
-            )
-        return y * complement / scale / rest
+    def branch(y: float, t: float) -> float:
+        if t > _DOUBLE_MAX:
+            return share
+        return t * share / (t + (1.0 - y) * share1)
 
     return branch
 
@@ -173,9 +172,10 @@ def _payoff(n: int, k: int, p: float, q: float):
     """expected_payoff without validation, as a function of the focal trust r."""
     right = _branch_payoff(n, q)
     wrong = _branch_payoff(n, (1.0 - q) / k)
+    miss = 1.0 - q
 
     def payoff(r: float) -> float:
-        return p * right(r) + (1.0 - p) * wrong((1.0 - r) / k)
+        return p * right(r, r / q) + (1.0 - p) * wrong((1.0 - r) / k, (1.0 - r) / miss)
 
     return payoff
 

@@ -12,8 +12,10 @@ game instead of evaluating the payoff formula. Round semantics:
    with the per-ray complement (1 - trust) / k.
 3. The round ends on the first turn somebody lands; all same-turn arrivers
    split the unit prize equally.
-4. A round with no arrival within max_turns is capped: everybody scores 0 and
-   the round is flagged (never resampled, which would bias the estimate).
+4. A round with no arrival within MAX_TURNS turns is capped: everybody scores
+   0 and the round is flagged (never resampled, which would bias the
+   estimate). The paper's race has no cap; it is there so that both
+   simulators finish, and both play the same capped game.
 
 Choices are redrawn every turn with no memory of visited rays; that is the
 process whose payoff the closed form describes.
@@ -25,22 +27,21 @@ other searcher with probability o:
 
 - a turn has no landing with probability s = (1 - f)(1 - o)^(n - 1);
 - the landing turn is Geometric(1 - s), and the round is capped with
-  probability s^max_turns;
+  probability s^MAX_TURNS;
 - given a landing, the focal searcher is among the arrivers with probability
   f / (1 - s), independently of the landing turn;
 - given that it is, the number of co-arrivers is Binomial(n - 1, o).
 
 So a call draws the number of correct-pointer rounds, Binomial(rounds, p),
 and then for each branch, correct first: the capped count,
-Binomial(rounds, s^max_turns); the finish turns' total; the focal-in count,
+Binomial(rounds, s^MAX_TURNS); the finish turns' total; the focal-in count,
 Binomial(finished, f / (1 - s)); and the co-arriver counts of the focal-in
 rounds as one multinomial tally. Where the cap's chance is below the
 doubles' resolution, the finish turns' total is finished plus a
 NegativeBinomial(finished, 1 - s) draw. To stay within numpy's range that
 draw is a sum of negative binomials with the same p, one per 2**50 turns of
-mean, each over at least 65536 rounds, drawn 65536 to an array. Where the
-cap binds, or 65536 rounds' mean is past that range, each finished round
-costs one uniform.
+mean, each over at least 4e10 rounds, drawn 65536 to an array. Where the
+cap binds, each finished round costs one uniform.
 
 Determinism: a call draws from one counter-based Philox stream keyed by the
 seed, in the order above, so a config's report is bit-identical on every
@@ -50,7 +51,6 @@ run.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -62,7 +62,7 @@ if TYPE_CHECKING:  # imported where a round's payoffs or an array is built
     import numpy as np
 
 __all__ = [
-    "DEFAULT_MAX_TURNS",
+    "MAX_TURNS",
     "SimulationConfig",
     "SimulationReport",
     "RoundResult",
@@ -72,9 +72,9 @@ __all__ = [
     "per_turn_share",
 ]
 
-DEFAULT_MAX_TURNS = 1_000_000
+MAX_TURNS = 1_000_000
 # Arrays of draws (a part's turns, the per-round route's uniforms) are built
-# this many at a time, and a negative-binomial part spans at least this many rounds.
+# this many at a time.
 _CHUNK = 1 << 16
 _SEED_LIMIT = 1 << 64
 _ROUNDS_LIMIT = 1 << 63  # numpy's binomial takes counts below this
@@ -83,18 +83,17 @@ _NEGBIN_MEAN_LIMIT = 2.0**50  # numpy's negative binomial fails from a mean ~2**
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Everything needed to reproduce one payoff estimate."""
+    """Everything needed to reproduce one payoff estimate of rounds capped
+    at MAX_TURNS turns."""
 
     params: GameParams
     profile: TrustProfile
     rounds: int
     seed: int
-    max_turns: int = DEFAULT_MAX_TURNS
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rounds", _as_int(self.rounds, "rounds", 1))
         object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
-        object.__setattr__(self, "max_turns", _as_int(self.max_turns, "max_turns", 1))
         if self.rounds >= _ROUNDS_LIMIT:
             raise ValueError("rounds must be below 2**63")
         if not 0 <= self.seed < _SEED_LIMIT:
@@ -141,7 +140,7 @@ def simulate_round(
 
     payoffs[0] is the focal searcher, payoffs[1:] the others, as exact
     fractions so that every uncapped round splits the prize to total exactly
-    one. finish_turn is None when nobody lands within DEFAULT_MAX_TURNS turns
+    one. finish_turn is None when nobody lands within MAX_TURNS turns
     (all payoffs 0). Draw order per turn is fixed: one uniform for the focal
     searcher, then a vector of n - 1 uniforms for the others.
     """
@@ -153,9 +152,9 @@ def simulate_round(
     zero = Fraction(0)
     if focal_p == 0.0 and other_p == 0.0:
         # Nobody can ever land on this branch; the round is capped without
-        # burning DEFAULT_MAX_TURNS of draws.
+        # burning MAX_TURNS of draws.
         return RoundResult(0.0, [zero] * n, None)
-    for turn in range(1, DEFAULT_MAX_TURNS + 1):
+    for turn in range(1, MAX_TURNS + 1):
         focal_in = bool(rng.random() < focal_p)
         others_in = rng.random(n - 1) < other_p
         arrived = int(focal_in) + int(others_in.sum())
@@ -208,15 +207,10 @@ def _coarrival_law(other_p: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sample_branch(
-    rng: np.random.Generator,
-    rounds: int,
-    focal_p: float,
-    other_p: float,
-    n: int,
-    max_turns: float,
+    rng: np.random.Generator, rounds: int, focal_p: float, other_p: float, n: int
 ) -> tuple[float, float, float, int]:
-    """Play `rounds` rounds of one pointer branch in the module docstring's
-    draw order, without stepping turns.
+    """Play `rounds` rounds of one pointer branch, each capped at MAX_TURNS
+    turns, in the module docstring's draw order, without stepping turns.
 
     Returns the sum of focal shares, the sum of their squares, the sum of
     finish turns and the number of uncapped rounds.
@@ -227,20 +221,21 @@ def _sample_branch(
     import numpy as np
 
     log_s = _log_no_landing(focal_p, other_p, n)
-    log_capped = max_turns * log_s  # log s^max_turns
+    log_capped = MAX_TURNS * log_s  # log s^MAX_TURNS
     landing = -math.expm1(log_s)  # 1 - s
     no_landing = math.exp(log_s)
     # m finished rounds last m + NegativeBinomial(m, 1 - s) turns, and that
     # draw's mean is m s / (1 - s).
     limit = _NEGBIN_MEAN_LIMIT * landing
     finished = rounds - int(rng.binomial(rounds, math.exp(log_capped)))
-    if (finished and math.expm1(log_capped) == -1.0
-            and min(finished, _CHUNK) * no_landing < limit):
+    if finished and math.expm1(log_capped) == -1.0:
         # Untruncated turns: a sum of geometrics is one negative binomial,
         # and so is a sum of negative binomials with the same p. A total
-        # past the limit is drawn in parts of at least a chunk of rounds:
-        # whole parts a chunk of draws at a time, added one by one in draw
-        # order, then the rest.
+        # past the limit is drawn in parts: whole parts a chunk of draws at
+        # a time, added one by one in draw order, then the rest. The cap's
+        # chance s^MAX_TURNS is below 2**-54 here, so a round's mean s/(1-s)
+        # is at most 26,700 turns: a chunk of rounds has a mean of at most
+        # 1.8e9 turns, and a part spans at least limit / s > 4e10 rounds.
         part = finished if finished * no_landing < limit else int(limit / no_landing)
         parts, rest = divmod(finished, part)
         turn_total = float(finished)
@@ -252,7 +247,7 @@ def _sample_branch(
             turn_total += float(rng.negative_binomial(rest, landing))
     else:
         # Inverse CDF of each landing turn, Geometric(1 - s) given it is at
-        # most max_turns: the smallest t with 1 - s^t >= u (1 - s^max_turns).
+        # most MAX_TURNS: the smallest t with 1 - s^t >= u (1 - s^MAX_TURNS).
         # The arrays are updated in place because fresh chunk-sized
         # temporaries cost as much as the arithmetic.
         turn_total = 0.0
@@ -261,7 +256,7 @@ def _sample_branch(
             turns *= math.expm1(log_capped)
             np.log1p(turns, out=turns)
             turns /= log_s
-            np.clip(np.ceil(turns, out=turns), 1.0, max_turns, out=turns)
+            np.clip(np.ceil(turns, out=turns), 1.0, MAX_TURNS, out=turns)
             turn_total += float(np.sum(turns))
     focal_in = int(rng.binomial(finished, min(focal_p / landing, 1.0)))
     # Co-arriver counts of the focal-in rounds, tallied by count: their law
@@ -286,8 +281,6 @@ def estimate_payoff(config: SimulationConfig) -> SimulationReport:
 
     params, profile = config.params, config.profile
     rounds = config.rounds
-    # A cap beyond the float range never binds.
-    max_turns = config.max_turns if config.max_turns <= sys.float_info.max else math.inf
 
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     correct = int(rng.binomial(rounds, params.p))
@@ -296,7 +289,7 @@ def estimate_payoff(config: SimulationConfig) -> SimulationReport:
     for branch_rounds, is_correct in ((correct, True), (rounds - correct, False)):
         focal_p, other_p = _branch_probabilities(params, profile, is_correct)
         share, share_sq, turns, done = _sample_branch(
-            rng, branch_rounds, focal_p, other_p, params.n, max_turns
+            rng, branch_rounds, focal_p, other_p, params.n
         )
         total += share
         total_sq += share_sq
@@ -314,7 +307,7 @@ def estimate_payoff(config: SimulationConfig) -> SimulationReport:
     warning = None
     if capped:
         warning = (
-            f"{capped} of {rounds} rounds hit the {config.max_turns}-turn cap; "
+            f"{capped} of {rounds} rounds hit the {MAX_TURNS}-turn cap; "
             "capped rounds score 0, so the payoff estimate is biased low"
         )
     return SimulationReport(

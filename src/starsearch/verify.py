@@ -17,7 +17,6 @@ from typing import Iterable
 from .equilibrium import _GRID_BITS, EquilibriumSolution, solve_equilibrium, sweep_n
 from .model import (
     GameParams,
-    _as_int,
     _as_probability,
     _payoff,
     _require_interior_q,
@@ -39,6 +38,8 @@ __all__ = [
 # meaningful even where the curve is flat to double precision (population
 # trust equal to reliability at large n).
 _TIE_ULPS = 64.0
+# Deviations scanned, both ends of [0, 1] included.
+_R_STEPS = 2001
 
 
 @dataclass(frozen=True)
@@ -92,10 +93,9 @@ class ProbabilityMatchingReport:
         )
 
 
-def best_response_scan(
-    params: GameParams, q: float, r_steps: int = 2001
-) -> BestResponseScan:
-    """Evaluate the focal payoff on a uniform deviation grid over [0, 1].
+def best_response_scan(params: GameParams, q: float) -> BestResponseScan:
+    """Evaluate the focal payoff on _R_STEPS evenly spaced deviations over
+    [0, 1].
 
     The payoff is continuous in the deviation trust r including both
     endpoints, so the full closed interval is scanned. Grid points whose
@@ -105,10 +105,9 @@ def best_response_scan(
     """
     q = _as_probability(q, "q")
     _require_interior_q(q)
-    r_steps = _as_int(r_steps, "r_steps", 2)
-    # numpy.linspace(0, 1, r_steps)'s points: i times the step, then 1.0.
-    step = 1.0 / (r_steps - 1)
-    r = [i * step for i in range(r_steps - 1)]
+    # numpy.linspace(0, 1, _R_STEPS)'s points: i times the step, then 1.0.
+    step = 1.0 / (_R_STEPS - 1)
+    r = [i * step for i in range(_R_STEPS - 1)]
     r.append(1.0)
     payoff = list(map(_payoff(params.n, params.k, params.p, q), r))
     peak = max(payoff)

@@ -553,6 +553,23 @@ class TestLaneSolver:
             curve = sweep_k(n, p, range(1, 41))
             assert curve.ys == tuple(scalar_q_bar(n, k, p) for k in range(1, 41))
 
+    # At this (n, k, p) numpy's kernels and math's give the sign function
+    # different signs next to the root, and the scalar solve ends one cell
+    # above the lanes. Exact signs of the excess would settle it.
+    SPLIT = (3, 9, 0.7169403197093437)
+
+    def test_lane_answer_is_the_exact_roots_cell(self):
+        n, k, p = self.SPLIT
+        q_bar = sweep_k(n, p, range(1, 41)).ys[k - 1]
+        assert q_bar == sweep_n(k, p, range(2, 42)).ys[n - 2] == 0.7832758327390366
+        assert exact_excess(n, k, p, q_bar) > 0
+        assert exact_excess(n, k, p, math.nextafter(q_bar, 0.0)) < 0
+
+    @pytest.mark.xfail(strict=True, reason="the scalar solve ends one cell high here")
+    def test_scalar_solve_equals_the_lanes_where_the_kernels_disagree(self):
+        n, k, p = self.SPLIT
+        assert scalar_q_bar(n, k, p) == sweep_k(n, p, range(1, 41)).ys[k - 1]
+
     def test_p_one_ulp_above_the_first_floor(self):
         # Every lane shares the bracket that starts at p, even the k = 1 lane
         # whose signal floor lies one ulp below it.

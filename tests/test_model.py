@@ -184,6 +184,9 @@ class TestExpectedPayoff:
             (5, 3, 0.5, 1e-13, 1e-12),
             (5, 3, 0.5, 1 - 1e-13, 1 - 3e-13),
             (40, 7, 0.7, 1e-9, 0.3),
+            # r / q overflows at these subnormal trusts.
+            (3, 2, 0.6, 5e-324, 0.5),
+            (3, 2, 0.6, 1e-310, 0.9),
         ],
     )
     def test_matches_exact_rationals_at_extreme_trusts(self, n, k, p, q, r):
@@ -193,16 +196,23 @@ class TestExpectedPayoff:
 
     def test_off_ray_rate_rounding_to_zero(self):
         # At k = 1.7e308 and q = 1 - 2**-53, (1 - q)/k rounds to 0.0: the
-        # pointer-wrong branch takes its limit as that rate goes to 0, where
-        # the focal searcher, with a positive rate, lands first and alone.
-        n, k, p, q, r = 3, 17 * 10**307, 0.5, 1 - 2**-53, 0.5
-        exact = exact_payoff(n, k, p, q, r)
-        value = expected_payoff(GameParams(n, k, p), TrustProfile(q, r))
-        assert abs(Fraction(value) - exact) <= Fraction(1e-15) * exact
-        # With the focal rate (1 - r)/k at 0 as well, the branch is 0/0.
-        for r in (q, 1.0):
-            with pytest.raises(ValueError, match=r"^payoff is 0/0: "):
-                expected_payoff(GameParams(n, k, p), TrustProfile(q, r))
+        # pointer-wrong branch takes its limit as that rate goes to 0. There
+        # the focal searcher, with a positive rate, lands first and alone;
+        # at r = q it takes the symmetric share, and at r = 1 nothing.
+        n, k, p, q = 3, 17 * 10**307, 0.5, 1 - 2**-53
+        assert exact_payoff(n, k, p, q, q) == Fraction(1, 3)
+        for r in (0.5, q, 1.0):
+            exact = exact_payoff(n, k, p, q, r)
+            value = expected_payoff(GameParams(n, k, p), TrustProfile(q, r))
+            assert abs(Fraction(value) - exact) <= Fraction(1e-15) * exact
+
+    @pytest.mark.parametrize("n", [2, 3, 40, 10**6])
+    @pytest.mark.parametrize("q", [1e-200, 1e-300, 1e-310, 5e-324])
+    def test_symmetric_share_at_tiny_trust(self, n, q):
+        # The focal rate times the share's numerator, about n q**2, is below
+        # the smallest double here; the branch's ratios never form it.
+        payoff = expected_payoff(GameParams(n, 3, 0.6), TrustProfile(q, q))
+        assert abs(payoff - 1.0 / n) <= 1e-15 / n
 
     def test_endpoint_q_rejected(self):
         with pytest.raises(ValueError, match="strictly inside"):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 from starsearch import (
-    DEFAULT_MAX_TURNS,
+    MAX_TURNS,
     GameParams,
     SimulationConfig,
     TrustProfile,
@@ -54,8 +53,6 @@ class TestSimulationConfig:
         profile = TrustProfile(0.5, 0.5)
         with pytest.raises(ValueError, match="rounds"):
             SimulationConfig(params, profile, rounds=0, seed=1)
-        with pytest.raises(ValueError, match="max_turns"):
-            SimulationConfig(params, profile, rounds=1, seed=1, max_turns=0)
         with pytest.raises(ValueError, match="seed"):
             SimulationConfig(params, profile, rounds=1, seed=-1)
         with pytest.raises(ValueError, match="seed"):
@@ -160,22 +157,20 @@ class TestEstimatePayoff:
 
     @pytest.mark.parametrize("rounds", [65_535, 65_536, 65_537])
     @pytest.mark.parametrize(
-        "params, profile, max_turns",
+        "params, profile",
         [
-            (GameParams(2, 1, 0.7), TrustProfile(0.6, 0.6), DEFAULT_MAX_TURNS),
-            # The cap binds, so finish turns take the per-round route, drawn
-            # 65,536 rounds at a time; with p this close to 1 every round has
-            # a correct pointer, so 65,537 rounds span two chunks.
-            (GameParams(3, 2, 1 - 1e-12), TrustProfile(0.02, 0.03), 400),
+            (GameParams(2, 1, 0.7), TrustProfile(0.6, 0.6)),
+            # Landing rates of 3e-5 a turn leave the cap a mass of about
+            # e**-30, above the doubles' resolution, so finish turns take the
+            # per-round route, drawn 65,536 rounds at a time; with p this
+            # close to 1 every round has a correct pointer, so 65,537 rounds
+            # span two chunks.
+            (GameParams(3, 2, 1 - 1e-12), TrustProfile(1e-5, 1e-5)),
         ],
         ids=["default-cap", "binding-cap"],
     )
-    def test_chunk_boundaries_do_not_skew_the_estimate(
-        self, params, profile, max_turns, rounds
-    ):
-        report = estimate_payoff(
-            SimulationConfig(params, profile, rounds=rounds, seed=5, max_turns=max_turns)
-        )
+    def test_chunk_boundaries_do_not_skew_the_estimate(self, params, profile, rounds):
+        report = estimate_payoff(SimulationConfig(params, profile, rounds=rounds, seed=5))
         assert report.rounds_completed == rounds
         assert report.capped_rounds == 0
         exact = expected_payoff(params, profile)
@@ -216,24 +211,15 @@ class TestEstimatePayoff:
         assert report.mean_finish_turn == 1.0
 
     def test_turn_cap_respected(self):
-        # A tiny cap forces capped rounds even for winnable games.
+        # Trusts of 1e-6 leave a correct-pointer round of this winnable game
+        # a chance of about e**-2 to outlast the cap.
         config = SimulationConfig(
-            GameParams(2, 3, 0.5), TrustProfile(0.05, 0.05), rounds=2_000, seed=9,
-            max_turns=1,
+            GameParams(2, 3, 0.5), TrustProfile(1e-6, 1e-6), rounds=2_000, seed=9
         )
         report = estimate_payoff(config)
         assert report.capped_rounds > 0
         assert report.rounds_completed == 2_000
-
-    def test_cap_beyond_float_range_never_binds(self):
-        params, profile = GameParams(3, 2, 0.6), TrustProfile(0.0, 0.0)
-        huge = estimate_payoff(
-            SimulationConfig(params, profile, rounds=2_000, seed=9, max_turns=10**400)
-        )
-        default = estimate_payoff(SimulationConfig(params, profile, rounds=2_000, seed=9))
-        assert huge.warning != default.warning
-        assert huge == dataclasses.replace(default, warning=huge.warning)
-
+        assert f"the {MAX_TURNS}-turn cap" in report.warning
 
     def test_long_rounds_take_bounded_time(self):
         # Correct-pointer rounds last about 5000 turns here; the sampler's
@@ -248,52 +234,34 @@ class TestEstimatePayoff:
         exact = expected_payoff(params, profile)
         assert abs(report.focal_mean_payoff - exact) < 4 * report.focal_std_error
 
-    @pytest.mark.parametrize("max_turns", [DEFAULT_MAX_TURNS, 400])
-    def test_finish_turns_on_both_routes(self, max_turns):
+    @pytest.mark.parametrize(
+        "profile, untruncated",
+        [(TrustProfile(0.02, 0.03), True), (TrustProfile(1e-5, 1e-5), False)],
+        ids=["negative-binomial", "per-round"],
+    )
+    def test_finish_turns_on_both_routes(self, profile, untruncated):
         # Where the cap's mass is below the doubles' resolution a branch's
-        # turn total is one negative binomial draw; at 400 turns the
-        # correct-pointer branch keeps s**400, about e**-28, so its turns are
-        # drawn round by round. Both must give the geometric-mixture mean.
-        params, profile = GameParams(3, 2, 0.9), TrustProfile(0.02, 0.03)
+        # turn total is one negative binomial draw; at landing rates of 3e-5
+        # a turn the correct-pointer branch keeps s**MAX_TURNS, about e**-30,
+        # so its turns are drawn round by round. Both must give the
+        # geometric-mixture mean.
+        params = GameParams(3, 2, 0.9)
         rounds = 10**6
         s_right = (1 - profile.r) * (1 - profile.q) ** 2
-        untruncated = math.expm1(max_turns * math.log(s_right)) == -1.0
-        assert untruncated == (max_turns == DEFAULT_MAX_TURNS)
-        report = estimate_payoff(
-            SimulationConfig(params, profile, rounds=rounds, seed=44, max_turns=max_turns)
-        )
+        assert (math.expm1(MAX_TURNS * math.log(s_right)) == -1.0) == untruncated
+        report = estimate_payoff(SimulationConfig(params, profile, rounds=rounds, seed=44))
         mean, variance = finish_turn_moments(params, profile)
         assert report.capped_rounds == 0
         assert abs(report.mean_finish_turn - mean) < 4 * math.sqrt(variance / rounds)
 
-    def test_turn_total_past_the_negative_binomial_range(self):
-        # At trusts of 1e-20 a correct-pointer round lasts about 3e19 turns,
-        # so even one round's turn total has a mean past what numpy's
-        # negative binomial accepts; those turns are drawn round by round.
-        config = SimulationConfig(
-            GameParams(3, 2, 0.6), TrustProfile(1e-20, 1e-20), rounds=2_000, seed=45,
-            max_turns=10**400,
-        )
-        report = estimate_payoff(config)
-        assert report.capped_rounds == 0
-        assert math.isfinite(report.mean_finish_turn)
-        assert report.mean_finish_turn > 1e18
-
-    @pytest.mark.parametrize(
-        "params, profile, rounds, max_turns",
-        [
-            (GameParams(2, 3, 0.5), TrustProfile(1e-4, 1e-4), 10**8, DEFAULT_MAX_TURNS),
-            # A round lasts about 5e9 turns, so 10**7 rounds' turn total has a
-            # mean past the negative binomial's range and is drawn in parts.
-            (GameParams(2, 2, 0.6), TrustProfile(1e-10, 1e-10), 10**7, 10**12),
-        ],
-        ids=["long-rounds", "turn-total-in-parts"],
-    )
-    def test_cost_does_not_grow_with_the_rounds(self, params, profile, rounds, max_turns):
+    # A correct-pointer round lasts about 5,000 turns, so 10**12 rounds'
+    # turn total has a mean past the negative binomial's range and is drawn
+    # in parts.
+    @pytest.mark.parametrize("rounds", [10**8, 10**12], ids=["long-rounds", "turn-total-in-parts"])
+    def test_cost_does_not_grow_with_the_rounds(self, rounds):
+        params, profile = GameParams(2, 3, 0.5), TrustProfile(1e-4, 1e-4)
         start = time.perf_counter()
-        report = estimate_payoff(
-            SimulationConfig(params, profile, rounds=rounds, seed=46, max_turns=max_turns)
-        )
+        report = estimate_payoff(SimulationConfig(params, profile, rounds=rounds, seed=46))
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0
         assert report.capped_rounds == 0
@@ -343,23 +311,21 @@ class TestEstimatePayoff:
         assert abs(mean - expected_payoff(params, profile)) < 4 * std_error
 
     def test_capped_count_matches_its_law(self):
-        # A round is capped when nobody lands in max_turns turns, which on a
-        # branch with no-landing chance s happens with probability s**M.
-        n, k, p, q, r = 2, 1, 0.7, 1e-3, 2e-3
-        rounds, max_turns = 10**5, 1000
+        # A round is capped when nobody lands in MAX_TURNS turns, which on a
+        # branch with no-landing chance s happens with probability
+        # s**MAX_TURNS: about e**-3 on the correct-pointer branch here.
+        n, k, p, q, r = 2, 1, 0.7, 1e-6, 2e-6
+        rounds = 10**5
         report = estimate_payoff(
-            SimulationConfig(
-                GameParams(n, k, p), TrustProfile(q, r), rounds=rounds, seed=43,
-                max_turns=max_turns,
-            )
+            SimulationConfig(GameParams(n, k, p), TrustProfile(q, r), rounds=rounds, seed=43)
         )
         s_right = (1 - r) * (1 - q) ** (n - 1)
         s_wrong = (1 - (1 - r) / k) * (1 - (1 - q) / k) ** (n - 1)
-        chance = p * s_right**max_turns + (1 - p) * s_wrong**max_turns
+        chance = p * s_right**MAX_TURNS + (1 - p) * s_wrong**MAX_TURNS
         expected = rounds * chance
         spread = math.sqrt(rounds * chance * (1 - chance))
         assert abs(report.capped_rounds - expected) < 4 * spread
-        assert report.mean_finish_turn <= max_turns
+        assert report.mean_finish_turn <= MAX_TURNS
 
     @pytest.mark.parametrize(
         "n, other_p", [(2, 0.3), (7, 0.05), (7, 0.95), (40, 0.5), (40, 1e-9)]
