@@ -11,20 +11,28 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from .equilibrium import (
-    reliability_curve,
-    residual_curve,
+    _reliability_curve,
+    _residual_curve,
+    _sweep_k,
+    _sweep_n,
     solve_equilibrium,
-    sweep_k,
-    sweep_n,
 )
 from .model import GameParams, TrustProfile, single_searcher_optimal_trust
 
 __all__ = ["dispatch", "main"]
 
 _LOG_SWEEP_POINTS = 50
+# Curves and sweeps of at least this many points run on numpy arrays, and
+# smaller ones point by point on the math kernels, without importing numpy.
+# Measured on a 2-CPU Xeon host (Python 3.11, numpy 2.4): a process pays
+# 0.1-0.15 s to import numpy, and with that counted, lanes overtake scalar
+# solves at about 3,500 (consecutive k) to 10,000 (consecutive n) points,
+# and array curves overtake the math kernels at about 85,000.
+_ARRAY_MIN = 1 << 13
 # sweep-n and sweep-k solve and print this many values at a time, never the range.
 _SWEEP_CHUNK = 1 << 16
 
@@ -58,7 +66,7 @@ def _print_sweep(sweep, fixed: int, p: float, lo: int, hi: int) -> None:
     """Print sweep(fixed, p, lo..hi), solving _SWEEP_CHUNK values at a time."""
     for start in range(lo, hi + 1, _SWEEP_CHUNK):
         values = range(start, min(start + _SWEEP_CHUNK, hi + 1))
-        _print_curve(sweep(fixed, p, values), header=start == lo)
+        _print_curve(sweep(fixed, p, values, _ARRAY_MIN), header=start == lo)
 
 
 def _json_field(key: str, value) -> str:
@@ -82,12 +90,16 @@ def _cmd_solve(args) -> int:
 
 def _cmd_curve_e(args) -> int:
     params = GameParams(args.n, args.k, args.p)
-    _print_curve(residual_curve(params, args.q_min, args.q_max, args.steps))
+    curve = _residual_curve(params, args.q_min, args.q_max, args.steps, _ARRAY_MIN)
+    _print_curve(curve)
     return 0
 
 
 def _cmd_curve_f(args) -> int:
-    _print_curve(reliability_curve(args.n, args.k, args.q_min, args.q_max, args.steps))
+    curve = _reliability_curve(
+        args.n, args.k, args.q_min, args.q_max, args.steps, _ARRAY_MIN
+    )
+    _print_curve(curve)
     return 0
 
 
@@ -99,17 +111,29 @@ def _cmd_sweep_n(args) -> int:
     if hi < lo:
         raise ValueError("--n-to must not be below --n-from")
     if not args.log:
-        _print_sweep(sweep_n, args.k, args.p, lo, hi)
+        _print_sweep(_sweep_n, args.k, args.p, lo, hi)
         return 0
-    import numpy as np
-
-    # Spaced in floats, as the ends may not fit a numpy integer, and
-    # clamped, as a rounded end may fall outside the range.
-    points = min(_LOG_SWEEP_POINTS, hi - lo + 1)
-    grid = np.geomspace(float(lo), float(hi), num=points)
-    values = sorted({min(max(round(v), lo), hi) for v in grid.tolist()})
-    _print_curve(sweep_n(args.k, args.p, values))
+    values = _log_grid(lo, hi, min(_LOG_SWEEP_POINTS, hi - lo + 1))
+    _print_curve(_sweep_n(args.k, args.p, values, _ARRAY_MIN))
     return 0
+
+
+def _log_grid(lo: int, hi: int, points: int) -> list[int]:
+    """The distinct n of round(10 ** (log10(lo) + i * step)) for i from 0 to
+    points - 1, step = (log10(hi) - log10(lo)) / (points - 1), with the ends
+    exactly lo and hi and the inner n clamped to the range: those of
+    numpy.geomspace(lo, hi, points), rounded, wherever numpy's and math's
+    log10 and pow round alike (see the README)."""
+    ns = {lo, hi}
+    if points > 2:
+        log_lo = math.log10(lo)
+        step = (math.log10(hi) - log_lo) / (points - 1)
+        for i in range(1, points - 1):
+            try:
+                ns.add(min(max(round(10 ** (log_lo + i * step)), lo), hi))
+            except OverflowError:  # past the largest double, so past hi
+                pass
+    return sorted(ns)
 
 
 def _cmd_sweep_k(args) -> int:
@@ -118,7 +142,7 @@ def _cmd_sweep_k(args) -> int:
     # Name a bad argument before building the range from it.
     GameParams(args.n, args.k_to, args.p)
     GameParams(args.n, args.k_from, args.p)
-    _print_sweep(sweep_k, args.n, args.p, args.k_from, args.k_to)
+    _print_sweep(_sweep_k, args.n, args.p, args.k_from, args.k_to)
     return 0
 
 

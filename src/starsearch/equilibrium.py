@@ -8,7 +8,9 @@ curves crossing zero at the equilibrium, the reliability map against the
 diagonal, and equilibrium-trust sweeps in the population size and the ray
 count. Curves evaluate the model's formulas once on the whole grid, and long
 sweeps solve every point at once as numpy lanes of the same kernel and step
-rule.
+rule. Smaller batches run point by point on the math kernels. Which route a
+batch takes depends on its size and on the size passed to the private
+helper that runs it, never on what the process has already imported.
 """
 
 from __future__ import annotations
@@ -49,9 +51,11 @@ __all__ = [
 _GRID_BITS = 10
 _FREE_STEPS = 12
 
-# Batches of at least this many solves run as numpy lanes; smaller ones are
-# cheaper as per-point scalar solves. The measured crossover is about 24
-# points for consecutive n or k and about 40 for n log-spaced to 1e6.
+# The library's sweeps solve batches of at least this many points as numpy
+# lanes, and smaller ones as per-point scalar solves: with numpy loaded, the
+# measured crossover is about 20 points for consecutive n or k and about 40
+# for n log-spaced to 1e6. Its curves always take numpy arrays. The private
+# helpers behind both take that size as an argument, array_min.
 _LANE_MIN = 32
 
 _DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")
@@ -141,7 +145,7 @@ def solve_equilibrium(params: GameParams) -> EquilibriumSolution:
     landing = _landing(n, k, hi)
     return EquilibriumSolution(
         q_bar=hi,
-        residual=abs(_reliability(hi, landing) - p),
+        residual=abs(_reliability(n, hi, landing) - p),
         e_residual=abs(_residual(k, p, hi, landing)),
         iterations=iterations,
         bracket_lo=lo,
@@ -212,17 +216,19 @@ def _step(jl, jh, fl, fh, last, jm, fm, xp=math):
             xp.where(up, other, fm), xp.where(up, fm, other), moved)
 
 
-def _q_bars(ns: Sequence[int], ks: Sequence[int], p: float) -> list[float]:
+def _q_bars(
+    ns: Sequence[int], ks: Sequence[int], p: float, array_min: int
+) -> list[float]:
     """solve_equilibrium(GameParams(n, k, p)).q_bar for each pair of ns, ks.
 
-    The caller validates the strictest pair. From _LANE_MIN pairs on, they
+    The caller validates the strictest pair. From array_min pairs on, they
     are lanes of one numpy solve with the same grid and step rule, so each
     ends on its scalar solve's cell wherever numpy and math give the sign
     function the same sign (see solve_equilibrium); p is shared, so every
     lane starts from the same bracket and deadline. Finished lanes leave
     the arrays.
     """
-    if len(ns) < _LANE_MIN:
+    if len(ns) < array_min:
         return [solve_equilibrium(GameParams(n, k, p)).q_bar for n, k in zip(ns, ks)]
     import numpy as np
 
@@ -255,28 +261,47 @@ def _uniform_grid(lo: float, hi: float, steps: int) -> list[float]:
     return [lo * (1.0 - i / last) + hi * (i / last) for i in range(steps)]
 
 
+def _on_grid(kernel, qs: list[float], array_min: int) -> list[float]:
+    """kernel(q, xp) at each q of qs: point by point with xp=math below
+    array_min points, else once on a numpy array. The two can differ in
+    the last bit, as numpy's and math's exp/log1p/expm1 do."""
+    if len(qs) < array_min:
+        return [kernel(q, math) for q in qs]
+    import numpy as np
+
+    with np.errstate(divide="ignore"):
+        return kernel(np.array(qs), np).tolist()
+
+
 def residual_curve(
     params: GameParams, q_lo: float, q_hi: float, steps: int
 ) -> CurveSamples:
     """Equilibrium residual sampled on a uniform trust grid (endpoints included)."""
+    return _residual_curve(params, q_lo, q_hi, steps, array_min=0)
+
+
+def _residual_curve(params, q_lo, q_hi, steps, array_min: int) -> CurveSamples:
     q_lo = _as_probability(q_lo, "q_lo")
     q_hi = _as_probability(q_hi, "q_hi")
     steps = _as_int(steps, "steps", 2)
     if not 0.0 <= q_lo < q_hi <= 1.0:
         raise ValueError("need 0 <= q_lo < q_hi <= 1")
-    import numpy as np
-
+    n, k, p = params.n, params.k, params.p
     qs = _uniform_grid(q_lo, q_hi, steps)
-    q = np.array(qs)
-    with np.errstate(divide="ignore"):
-        es = _residual(params.k, params.p, q, _landing(params.n, params.k, q, np))
-    return CurveSamples("q", "E", tuple(zip(qs, es.tolist())))
+    es = _on_grid(
+        lambda q, xp: _residual(k, p, q, _landing(n, k, q, xp)), qs, array_min
+    )
+    return CurveSamples("q", "E", tuple(zip(qs, es)))
 
 
 def reliability_curve(
     n: int, k: int, q_lo: float, q_hi: float, steps: int
 ) -> CurveSamples:
     """Reliability map sampled on a uniform trust grid inside its open domain."""
+    return _reliability_curve(n, k, q_lo, q_hi, steps, array_min=0)
+
+
+def _reliability_curve(n, k, q_lo, q_hi, steps, array_min: int) -> CurveSamples:
     n = _as_count(n, "n", 2)
     k = _as_count(k, "k", 1)
     q_lo = _as_probability(q_lo, "q_lo")
@@ -284,12 +309,11 @@ def reliability_curve(
     steps = _as_int(steps, "steps", 2)
     if not 1.0 / (k + 1) < q_lo < q_hi < 1.0:
         raise ValueError("need 1/(k+1) < q_lo < q_hi < 1")
-    import numpy as np
-
     qs = _uniform_grid(q_lo, q_hi, steps)
-    q = np.array(qs)
-    fs = _reliability(q, _landing(n, k, q, np))
-    return CurveSamples("q", "F", tuple(zip(qs, fs.tolist())))
+    fs = _on_grid(
+        lambda q, xp: _reliability(n, q, _landing(n, k, q, xp), xp), qs, array_min
+    )
+    return CurveSamples("q", "F", tuple(zip(qs, fs)))
 
 
 def _sorted_unique(values: Iterable[int], name: str) -> list[int]:
@@ -308,9 +332,13 @@ def _sorted_unique(values: Iterable[int], name: str) -> list[int]:
 def sweep_n(k: int, p: float, n_values: Iterable[int]) -> CurveSamples:
     """Equilibrium trust against population size at fixed (k, p); the
     abscissae are the requested n, as ints."""
+    return _sweep_n(k, p, n_values, _LANE_MIN)
+
+
+def _sweep_n(k, p, n_values, array_min: int) -> CurveSamples:
     ns = _sorted_unique(n_values, "n_values")
     params = GameParams(ns[0], k, p)  # the smallest n is the strictest
-    q_bars = _q_bars(ns, [params.k] * len(ns), params.p)
+    q_bars = _q_bars(ns, [params.k] * len(ns), params.p, array_min)
     return CurveSamples("n", "q_bar", tuple(zip(ns, q_bars)))
 
 
@@ -321,7 +349,11 @@ def sweep_k(n: int, p: float, k_values: Iterable[int]) -> CurveSamples:
     Every entry must satisfy p > 1/(k+1); an entry below the signal floor
     raises rather than being silently dropped.
     """
+    return _sweep_k(n, p, k_values, _LANE_MIN)
+
+
+def _sweep_k(n, p, k_values, array_min: int) -> CurveSamples:
     ks = _sorted_unique(k_values, "k_values")
     params = GameParams(n, ks[0], p)  # the smallest k is the strictest
-    q_bars = _q_bars([params.n] * len(ks), ks, params.p)
+    q_bars = _q_bars([params.n] * len(ks), ks, params.p, array_min)
     return CurveSamples("k", "q_bar", tuple(zip(ks, q_bars)))

@@ -111,6 +111,13 @@ def _powers(x, n, xp=math):
     return power1 * (1.0 - x), power1, complement1 + x * power1, complement1
 
 
+def _per_rate(complement, x, limit, xp=math):
+    """complement / x, or its limit where the rate x is 0."""
+    if xp is math:
+        return complement / x if x else float(limit)
+    return xp.where(x > 0.0, complement / xp.where(x > 0.0, x, 1.0), float(limit))
+
+
 @dataclass(frozen=True)
 class GameParams:
     """One game instance: n searchers, k + 1 rays, pointer reliability p.
@@ -158,7 +165,8 @@ def _branch_payoff(n: int, x: float):
     branch stays defined. Where t overflows, the branch is its limit S.
     """
     _, _, complement, complement1 = _powers(x, n)
-    share, share1 = (complement / (n * x), complement1 / x) if x else (1.0, n - 1.0)
+    share = _per_rate(complement, n * x, 1.0)
+    share1 = _per_rate(complement1, x, n - 1.0)
 
     def branch(y: float, t: float) -> float:
         if t > _DOUBLE_MAX:
@@ -239,21 +247,23 @@ def reliability_from_trust(n: int, k: int, q: float) -> float:
     q = _as_probability(q, "q")
     if not 1.0 / (k + 1) < q < 1.0:
         raise ValueError("q must lie strictly inside (1/(k+1), 1)")
-    return _reliability(q, _landing(n, k, q))
+    return _reliability(n, q, _landing(n, k, q))
 
 
-def _reliability(q, landing):
+def _reliability(n, q, landing, xp=math):
     """reliability_from_trust without validation, from _landing(n, k, q).
 
     own / (own + other), with own = q B A1 and other = (1-q) A B1 as in
     _reliability_excess, both divided by q q q* so that neither underflows
-    where q and q* are near 1e-300. A float q = 1 gives the limit 1.
+    where q and q* are near 1e-300. Where q* is 0, as (1-q)/k is when k is
+    huge and q near 1, and at q = 1, A/q* and A1/q* take their limits n and
+    n - 1, so q = 1 gives the limit 1. With xp=numpy, q is an array.
     """
-    if isinstance(q, float) and q >= 1.0:
-        return 1.0
     q_star, a_complement, a1_complement, b_complement, b1_complement = landing
-    own = b_complement / q * (a1_complement / q_star)
-    other = (1.0 - q) / q * (a_complement / q_star) * (b1_complement / q)
+    a_ratio = _per_rate(a_complement, q_star, n, xp)
+    a1_ratio = _per_rate(a1_complement, q_star, n - 1.0, xp)
+    own = b_complement / q * a1_ratio
+    other = (1.0 - q) / q * a_ratio * (b1_complement / q)
     return own / (own + other)
 
 

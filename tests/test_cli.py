@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import re
@@ -9,13 +11,18 @@ import threading
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from starsearch.cli import _print_curve, dispatch
+from starsearch.cli import _ARRAY_MIN, _log_grid, _print_curve, dispatch
 from starsearch.equilibrium import EquilibriumSolution, sweep_k, sweep_n
+from starsearch.model import GameParams, equilibrium_residual, reliability_from_trust
 from starsearch.simulate import SimulationReport
 
 HUGE = "1" + "0" * 400  # an integer past the largest double
+# At this reliability, math and numpy give the solver's sign function other
+# signs at (n, k) = (3, 9), so a scalar solve ends one cell above a lane.
+SPLIT_P = "0.7169403197093437"
 # Child interpreters import the package from this checkout.
 CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 SUBCOMMANDS = (
@@ -100,6 +107,38 @@ class TestCurves:
         values = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(b > a for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("argv", [
+        # 30 and 14 of these rows differ in the last bit on numpy arrays.
+        ["curve-e", "--n", "3", "--k", "3", "--p", "0.2777374022969217",
+         "--q-min", "0.250001", "--q-max", "0.999999", "--steps", "200"],
+        ["curve-f", "--n", "26", "--k", "9",
+         "--q-min", "0.100001", "--q-max", "0.999999", "--steps", "200"],
+    ])
+    def test_rows_equal_the_scalar_kernels_to_the_bit(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        opts = dict(zip(argv[1::2], argv[2::2]))
+        n, k = int(opts["--n"]), int(opts["--k"])
+        rows = [tuple(map(float, line.split(","))) for line in out.splitlines()[1:]]
+        if argv[0] == "curve-e":
+            params = GameParams(n, k, float(opts["--p"]))
+            expected = [equilibrium_residual(params, q) for q, _ in rows]
+        else:
+            expected = [reliability_from_trust(n, k, q) for q, _ in rows]
+        assert len(rows) == 200
+        assert [y for _, y in rows] == expected
+
+    def test_curve_f_where_the_off_ray_rate_rounds_to_zero(self, capsys):
+        # (1 - q)/k rounds to 0.0 at the last q, where the map takes its
+        # limits.
+        code, out, err = run_cli(
+            capsys, "curve-f", "--n", "3", "--k", str(10**308), "--q-min", "0.5",
+            "--q-max", "0.9999999999999999", "--steps", "3",
+        )
+        assert (code, err) == (0, "")
+        q, f = map(float, out.splitlines()[-1].split(","))
+        assert (q, f) == (1 - 2**-53, reliability_from_trust(3, 10**308, q))
+
     def test_numbers_round_trip_to_the_same_double(self, capsys):
         _, out, _ = run_cli(
             capsys, "curve-f", "--n", "5", "--k", "3",
@@ -148,6 +187,32 @@ class TestSweeps:
         )
         assert code == 2
         assert "p must exceed 1/(k+1)" in err
+
+    def test_log_grid_is_numpys_geomspace_rounded(self):
+        def numpy_grid(lo, hi):
+            grid = np.geomspace(float(lo), float(hi), num=min(50, hi - lo + 1))
+            return sorted({min(max(round(v), lo), hi) for v in grid.tolist()})
+
+        rng = np.random.default_rng(17)
+        his = np.exp(rng.uniform(np.log(2), np.log(1e9), 10_000)).astype(np.int64)
+        ranges = [(int(rng.integers(2, hi + 1)), int(hi)) for hi in his]
+        ranges += [(2, 2), (7, 7), (10**9, 10**9), (2, 3), (2, 51), (10, 40)]
+        ranges += [(lo, lo + int(rng.integers(0, 49))) for lo in his[:1000].tolist()]
+        assert sum(hi - lo + 1 < 50 for lo, hi in ranges) > 1000
+        for lo, hi in ranges:
+            assert _log_grid(lo, hi, min(50, hi - lo + 1)) == numpy_grid(lo, hi)
+
+    def test_sweep_n_log_next_to_the_largest_double(self, capsys):
+        # Every inner point's 10 ** y overflows, and so lies past --n-to.
+        hi = int(sys.float_info.max)
+        code, out, err = run_cli(
+            capsys, "sweep-n", "--k", "3", "--p", "0.5",
+            "--n-from", str(hi - 100), "--n-to", str(hi), "--log",
+        )
+        assert (code, err) == (0, "")
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == [
+            str(hi - 100), str(hi)
+        ]
 
     @pytest.mark.parametrize("n_to", ["10000000000000000000", "100000000000000000000"])
     def test_sweep_n_log_past_int64(self, capsys, n_to):
@@ -472,15 +537,85 @@ def loaded_after(argvs: list[list[str]], modules: list[str]) -> list[list[str]]:
 
 
 def test_scalar_subcommands_leave_numpy_unloaded():
-    # Only array-building paths import numpy; sweep-k below the lane
-    # threshold solves point by point, and a best-response scan is scalar.
+    # Only batches of _ARRAY_MIN points or more, and simulate, import numpy;
+    # smaller sweeps solve point by point, curves take the math kernels, and
+    # a best-response scan is scalar.
     argvs = [
         ["solve", "--n", "5", "--k", "3", "--p", "0.5"],
         ["single-searcher", "--p", "0.9", "--k", "2"],
         ["sweep-k", "--n", "5", "--p", "0.75", "--k-from", "1", "--k-to", "4"],
         ["best-response", "--n", "5", "--k", "3", "--p", "0.5", "--q", "0.53"],
+        ["curve-e", "--n", "5", "--k", "3", "--p", "0.5", "--q-min", "0.34",
+         "--q-max", "0.8", "--steps", "200"],
+        ["curve-f", "--n", "5", "--k", "3", "--q-min", "0.26", "--q-max", "0.99",
+         "--steps", "200"],
+        ["sweep-n", "--k", "3", "--p", "0.5", "--n-from", "100", "--n-to", "100000",
+         "--log"],
+        ["sweep-k", "--n", "5", "--p", "0.75", "--k-from", "1", "--k-to", "40"],
     ]
-    assert loaded_after(argvs, ["numpy"]) == [[]] * 5
+    assert loaded_after(argvs, ["numpy"]) == [[]] * 9
+    # The --log sweep solves 50 points.
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert dispatch(argvs[6]) == 0
+    assert len(out.getvalue().splitlines()) == 51
+
+
+@pytest.mark.parametrize("argv,first", [
+    (["sweep-k", "--n", "5", "--p", "0.75", "--k-from", "1", "--k-to"], 1),
+    (["sweep-n", "--k", "3", "--p", "0.5", "--n-from", "2", "--n-to"], 2),
+    (["curve-e", "--n", "5", "--k", "3", "--p", "0.5", "--q-min", "0.34",
+      "--q-max", "0.8", "--steps"], 1),
+    (["curve-f", "--n", "5", "--k", "3", "--q-min", "0.26", "--q-max", "0.99",
+      "--steps"], 1),
+], ids=["sweep-k", "sweep-n", "curve-e", "curve-f"])
+def test_a_batch_at_the_threshold_loads_numpy(argv, first):
+    # A batch of _ARRAY_MIN - 1 points runs on math, one of _ARRAY_MIN
+    # points on numpy arrays.
+    sizes = (_ARRAY_MIN - 1, _ARRAY_MIN)
+    below, at = (argv + [str(first + size - 1)] for size in sizes)
+    assert loaded_after([below, at], ["numpy"]) == [[], [], ["numpy"]]
+
+
+def test_in_process_dispatch_prints_what_a_child_process_prints():
+    # A process that has loaded numpy and the acceptance suite, as a caller
+    # of dispatch may have, takes the same route as a fresh one: the curves,
+    # the --log sweep and the 40-point sweep-k hold rows where numpy arrays
+    # would print other digits than the math kernels.
+    argvs = [
+        ["solve", "--n", "3", "--k", "9", "--p", SPLIT_P],
+        ["curve-e", "--n", "3", "--k", "3", "--p", "0.2777374022969217",
+         "--q-min", "0.250001", "--q-max", "0.999999", "--steps", "200"],
+        ["curve-f", "--n", "26", "--k", "9",
+         "--q-min", "0.100001", "--q-max", "0.999999", "--steps", "200"],
+        ["sweep-n", "--k", "9", "--p", SPLIT_P, "--n-from", "2", "--n-to", "1000",
+         "--log"],
+        ["sweep-k", "--n", "5", "--p", "0.75", "--k-from", "1", "--k-to", "4"],
+        ["sweep-k", "--n", "3", "--p", SPLIT_P, "--k-from", "1", "--k-to", "40"],
+        ["simulate", "--n", "2", "--k", "1", "--p", "0.6", "--q", "0.7",
+         "--rounds", "1000", "--seed", "1"],
+        ["best-response", "--n", "5", "--k", "3", "--p", "0.5", "--q", "0.53"],
+        ["single-searcher", "--p", "0.9", "--k", "2"],
+    ]
+    code = (
+        "import contextlib, io, json\n"
+        "import numpy, starsearch.acceptance\n"
+        "from starsearch.cli import dispatch\n"
+        "results = []\n"
+        f"for argv in {argvs!r}:\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        results.append([dispatch(argv), out.getvalue()])\n"
+        "print(json.dumps(results))\n"
+    )
+    differ = []
+    for argv, (code, stdout) in zip(argvs, json.loads(fresh_python(code))):
+        child = subprocess.run(
+            [sys.executable, "-m", "starsearch", *argv], capture_output=True,
+            env=CHILD_ENV,
+        )
+        if (code, stdout.encode()) != (child.returncode, child.stdout):
+            differ.append(" ".join(argv))
+    assert differ == []
 
 
 def test_solver_subcommands_leave_simulate_and_verify_unloaded():

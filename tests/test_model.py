@@ -13,6 +13,7 @@ from starsearch import (
     TrustProfile,
     equilibrium_residual,
     expected_payoff,
+    reliability_curve,
     reliability_from_trust,
     single_searcher_optimal_trust,
     solve_equilibrium,
@@ -324,6 +325,19 @@ class TestReliabilityFromTrust:
         own, other = own / Fraction(0.5), other / Fraction(0.5)
         exact = own / (own + other)
         value = reliability_from_trust(n, k, q)
+        assert abs(Fraction(value) - exact) <= Fraction(1e-15) * exact
+
+    def test_off_ray_rate_rounding_to_zero(self):
+        # At k = 1e308 and q = 1 - 2**-53, (1 - q)/k rounds to 0.0, where
+        # A/q* and A1/q* take their limits n and n - 1.
+        n, k, q = 3, 10**308, 1 - 2**-53
+        assert (1 - q) / k == 0.0
+        own, other, _ = exact_excess_terms(n, k, 0.5, q)
+        exact = own / (own + other)
+        value = reliability_from_trust(n, k, q)
+        assert abs(Fraction(value) - exact) <= Fraction(1e-15) * exact
+        # The curve's numpy arrays take the same limits.
+        value = reliability_curve(n, k, 0.5, q, 3).ys[-1]
         assert abs(Fraction(value) - exact) <= Fraction(1e-15) * exact
 
     def test_limit_toward_full_trust(self):
