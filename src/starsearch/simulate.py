@@ -37,11 +37,15 @@ and then for each branch, correct first: the capped count,
 Binomial(rounds, s^MAX_TURNS); the finish turns' total; the focal-in count,
 Binomial(finished, f / (1 - s)); and the co-arriver counts of the focal-in
 rounds as one multinomial tally. Where the cap's chance is below the
-doubles' resolution, the finish turns' total is finished plus a
-NegativeBinomial(finished, 1 - s) draw. To stay within numpy's range that
-draw is a sum of negative binomials with the same p, one per 2**50 turns of
-mean, each over at least 4e10 rounds, drawn 65536 to an array. Where the
-cap binds, each finished round costs one uniform.
+doubles' resolution and numpy's range allows, the finish turns' total is
+finished plus one NegativeBinomial(finished, 1 - s) draw. Otherwise it is
+drawn exactly at a cost that does not grow with the rounds, from this
+identity: a turn T ~ Geometric(1 - s) conditioned on T <= 2^b has
+independent bits in T - 1, bit j set with chance s^(2^j) / (1 + s^(2^j)).
+(Given T <= 2h, T > h has chance s^h / (1 + s^h), and given that, T - h has
+the law of T given T <= h; recurse on the halves.) So one multinomial
+spreads the rounds over the dyadic blocks of 1..MAX_TURNS, one per set bit
+of MAX_TURNS, and one vector of binomials counts each bit's set rounds.
 
 Determinism: a call draws from one counter-based Philox stream keyed by the
 seed, in the order above, so a config's report is bit-identical on every
@@ -73,18 +77,30 @@ __all__ = [
 ]
 
 MAX_TURNS = 1_000_000
-# Arrays of draws (a part's turns, the per-round route's uniforms) are built
-# this many at a time.
-_CHUNK = 1 << 16
+# The turns 1..MAX_TURNS split into one dyadic block per set bit b of
+# MAX_TURNS, widest first: the turns offset + 1 .. offset + 2**b.
+_WIDTH_BITS = tuple(b for b in reversed(range(MAX_TURNS.bit_length())) if MAX_TURNS >> b & 1)
+_OFFSETS = tuple((MAX_TURNS >> (b + 1)) << (b + 1) for b in _WIDTH_BITS)
+# Bit j of turn - offset - 1 can be set only in the blocks wider than 2**j,
+# the first _BIT_BLOCKS[j] + 1.
+_BIT_BLOCKS = tuple(sum(b > j for b in _WIDTH_BITS) - 1 for j in range(_WIDTH_BITS[0]))
 _SEED_LIMIT = 1 << 64
 _ROUNDS_LIMIT = 1 << 63  # numpy's binomial takes counts below this
 _NEGBIN_MEAN_LIMIT = 2.0**50  # numpy's negative binomial fails from a mean ~2**59.5
+# A co-arrival window holds at most _WINDOW_LIMIT counts, all below
+# _EXACT_COUNT_LIMIT, from which doubles skip integers.
+_WINDOW_LIMIT = 1 << 22
+_EXACT_COUNT_LIMIT = 1 << 53
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
     """Everything needed to reproduce one payoff estimate of rounds capped
-    at MAX_TURNS turns."""
+    at MAX_TURNS turns.
+
+    n is refused where a pointer branch's co-arriver window does not fit
+    (_coarrival_window): at trust 1/2, from about n = 1.1e10.
+    """
 
     params: GameParams
     profile: TrustProfile
@@ -98,6 +114,9 @@ class SimulationConfig:
             raise ValueError("rounds must be below 2**63")
         if not 0 <= self.seed < _SEED_LIMIT:
             raise ValueError("seed must be an unsigned 64-bit integer")
+        for correct in (True, False):
+            other_p = _branch_probabilities(self.params, self.profile, correct)[1]
+            _coarrival_window(other_p, self.params.n)
 
 
 @dataclass(frozen=True)
@@ -178,25 +197,44 @@ def _log_no_landing(focal_p: float, other_p: float, n: int) -> float:
     return math.log1p(-focal_p) + (n - 1) * math.log1p(-other_p)
 
 
-def _coarrival_law(other_p: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The shares 1/(m + 1) and the chances of Binomial(n - 1, other_p)
-    co-arrivers m, over the counts m whose chance is not negligible.
+def _coarrival_window(other_p: float, n: int) -> tuple[int, int]:
+    """The first and last counts m of Binomial(n - 1, other_p) co-arrivers
+    whose chance is not negligible: all of them within the mean +- (40 sd +
+    800), outside of which Bernstein's inequality leaves less than e^-400 of
+    the mass on either side.
 
-    The window is the mean +- (40 sd + 800), outside of which Bernstein's
-    inequality leaves less than e^-400 of the mass on either side, so the
-    cost stays O(sqrt(n)) at large n. Log chances relative to the window's
-    first count are a running sum of log ratios of neighbouring chances,
-    and the chances are normalised over the window.
+    The window is O(sqrt(n)) counts wide; one of more than 2**22 counts, or
+    one that reaches counts past the doubles' integers, is refused.
     """
-    import numpy as np
-
     others = n - 1
     if other_p == 0.0 or other_p == 1.0:
-        m = 0.0 if other_p == 0.0 else float(others)
-        return np.array([1.0 / (1.0 + m)]), np.ones(1)
+        m = 0 if other_p == 0.0 else others
+        return m, m
     mean = others * other_p
     half = 40.0 * math.sqrt(mean * (1.0 - other_p)) + 800.0
     lo, hi = max(0, math.floor(mean - half)), min(others, math.ceil(mean + half))
+    if hi - lo >= _WINDOW_LIMIT or hi >= _EXACT_COUNT_LIMIT:
+        raise ValueError(
+            "n is too large to simulate: a pointer branch's co-arriver counts"
+            " span more than 2**22 values or reach 2**53"
+        )
+    return lo, hi
+
+
+def _coarrival_law(other_p: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The shares 1/(m + 1) and the chances of Binomial(n - 1, other_p)
+    co-arrivers m, over the counts m of _coarrival_window.
+
+    Log chances relative to the window's first count are a running sum of
+    log ratios of neighbouring chances, and the chances are normalised over
+    the window.
+    """
+    import numpy as np
+
+    lo, hi = _coarrival_window(other_p, n)
+    if lo == hi:
+        return np.array([1.0 / (1.0 + lo)]), np.ones(1)
+    others = n - 1
     m = np.arange(lo, hi + 1.0)
     log_odds = math.log(other_p) - math.log1p(-other_p)
     log_chance = np.zeros_like(m)
@@ -223,41 +261,26 @@ def _sample_branch(
     log_s = _log_no_landing(focal_p, other_p, n)
     log_capped = MAX_TURNS * log_s  # log s^MAX_TURNS
     landing = -math.expm1(log_s)  # 1 - s
-    no_landing = math.exp(log_s)
-    # m finished rounds last m + NegativeBinomial(m, 1 - s) turns, and that
-    # draw's mean is m s / (1 - s).
-    limit = _NEGBIN_MEAN_LIMIT * landing
     finished = rounds - int(rng.binomial(rounds, math.exp(log_capped)))
-    if finished and math.expm1(log_capped) == -1.0:
-        # Untruncated turns: a sum of geometrics is one negative binomial,
-        # and so is a sum of negative binomials with the same p. A total
-        # past the limit is drawn in parts: whole parts a chunk of draws at
-        # a time, added one by one in draw order, then the rest. The cap's
-        # chance s^MAX_TURNS is below 2**-54 here, so a round's mean s/(1-s)
-        # is at most 26,700 turns: a chunk of rounds has a mean of at most
-        # 1.8e9 turns, and a part spans at least limit / s > 4e10 rounds.
-        part = finished if finished * no_landing < limit else int(limit / no_landing)
-        parts, rest = divmod(finished, part)
-        turn_total = float(finished)
-        for start in range(0, parts, _CHUNK):
-            draws = rng.negative_binomial(part, landing, size=min(_CHUNK, parts - start))
-            for draw in draws.tolist():
-                turn_total += draw
-        if rest:
-            turn_total += float(rng.negative_binomial(rest, landing))
-    else:
-        # Inverse CDF of each landing turn, Geometric(1 - s) given it is at
-        # most MAX_TURNS: the smallest t with 1 - s^t >= u (1 - s^MAX_TURNS).
-        # The arrays are updated in place because fresh chunk-sized
-        # temporaries cost as much as the arithmetic.
+    # Untruncated turns: m finished rounds last m + NegativeBinomial(m, 1 - s)
+    # turns, where numpy's range allows that draw's mean, m s / (1 - s).
+    if not finished:
         turn_total = 0.0
-        for start in range(0, finished, _CHUNK):
-            turns = rng.random(min(_CHUNK, finished - start))
-            turns *= math.expm1(log_capped)
-            np.log1p(turns, out=turns)
-            turns /= log_s
-            np.clip(np.ceil(turns, out=turns), 1.0, MAX_TURNS, out=turns)
-            turn_total += float(np.sum(turns))
+    elif math.expm1(log_capped) == -1.0 and (
+        finished * math.exp(log_s) < _NEGBIN_MEAN_LIMIT * landing
+    ):
+        turn_total = finished + float(rng.negative_binomial(finished, landing))
+    else:
+        # Exact at any count: a turn falls in the block of 2^b turns after
+        # turn o with chance proportional to s^o (1 - s^(2^b)), and bit j of
+        # its turn - o - 1 is then set with chance s^(2^j) / (1 + s^(2^j)).
+        offsets = np.array(_OFFSETS, dtype=float)
+        weights = np.exp(offsets * log_s) * -np.expm1(np.ldexp(log_s, _WIDTH_BITS))
+        in_block = rng.multinomial(finished, weights / weights.sum())
+        bit_values = np.ldexp(1.0, range(len(_BIT_BLOCKS)))
+        kept = np.exp(bit_values * log_s)  # s^(2^j)
+        bits = rng.binomial(np.cumsum(in_block)[list(_BIT_BLOCKS)], kept / (1.0 + kept))
+        turn_total = finished + float(in_block @ offsets) + float(bits @ bit_values)
     focal_in = int(rng.binomial(finished, min(focal_p / landing, 1.0)))
     # Co-arriver counts of the focal-in rounds, tallied by count: their law
     # is that of focal_in independent Binomial(n - 1, o) draws, at a cost

@@ -376,6 +376,15 @@ class TestSimulate:
         )
         assert (code, out, err) == (2, "", "rounds must be below 2**63\n")
 
+    @pytest.mark.parametrize("n", [10**17, 10**300], ids=["1e17", "1e300"])
+    def test_population_too_large_to_simulate_exits_two(self, capsys, n):
+        code, out, err = run_cli(
+            capsys, "simulate", "--n", str(n), "--k", "1", "--p", "0.6",
+            "--q", "0.5", "--rounds", "10", "--seed", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("n is too large to simulate")
+
 
 class TestBestResponse:
     def test_round_trip_with_solve(self, capsys):

@@ -22,7 +22,13 @@ from starsearch import (
     simulate_round,
 )
 from starsearch.model import _powers
-from starsearch.simulate import _coarrival_law
+from starsearch.simulate import (
+    _OFFSETS,
+    _WIDTH_BITS,
+    _coarrival_law,
+    _log_no_landing,
+    _sample_branch,
+)
 
 
 # Child interpreters import the package from this checkout.
@@ -65,6 +71,23 @@ class TestSimulationConfig:
         with pytest.raises(ValueError, match=r"^rounds must be below 2\*\*63$"):
             SimulationConfig(params, profile, rounds=2**63, seed=1)
         assert SimulationConfig(params, profile, rounds=2**63 - 1, seed=1).rounds == 2**63 - 1
+
+    # At o = 1/2 a co-arrival window of 80 sd + 1,601 counts passes 2**22
+    # counts from about n = 1.1e10; with the others' trust one ulp below 1
+    # and n = 1e20 its counts are not all doubles.
+    @pytest.mark.parametrize(
+        "n, q", [(10**17, 0.5), (10**300, 0.5), (10**20, 1 - 2**-53)],
+        ids=["1e17", "1e300", "1e20-near-certain"],
+    )
+    def test_population_past_the_co_arrival_window_rejected(self, n, q):
+        with pytest.raises(ValueError, match=r"^n is too large to simulate"):
+            SimulationConfig(GameParams(n, 1, 0.6), TrustProfile(q, q), rounds=1, seed=1)
+
+    def test_million_searchers_simulate(self):
+        params, profile = GameParams(10**6, 1, 0.6), TrustProfile(0.5, 0.5)
+        report = estimate_payoff(SimulationConfig(params, profile, rounds=10**4, seed=1))
+        exact = expected_payoff(params, profile)
+        assert abs(report.focal_mean_payoff - exact) < 4 * report.focal_std_error
 
 
 class TestSimulateRound:
@@ -155,29 +178,6 @@ class TestEstimatePayoff:
         )
         assert estimate_payoff(config) == estimate_payoff(config)
 
-    @pytest.mark.parametrize("rounds", [65_535, 65_536, 65_537])
-    @pytest.mark.parametrize(
-        "params, profile",
-        [
-            (GameParams(2, 1, 0.7), TrustProfile(0.6, 0.6)),
-            # Landing rates of 3e-5 a turn leave the cap a mass of about
-            # e**-30, above the doubles' resolution, so finish turns take the
-            # per-round route, drawn 65,536 rounds at a time; with p this
-            # close to 1 every round has a correct pointer, so 65,537 rounds
-            # span two chunks.
-            (GameParams(3, 2, 1 - 1e-12), TrustProfile(1e-5, 1e-5)),
-        ],
-        ids=["default-cap", "binding-cap"],
-    )
-    def test_chunk_boundaries_do_not_skew_the_estimate(self, params, profile, rounds):
-        report = estimate_payoff(SimulationConfig(params, profile, rounds=rounds, seed=5))
-        assert report.rounds_completed == rounds
-        assert report.capped_rounds == 0
-        exact = expected_payoff(params, profile)
-        assert abs(report.focal_mean_payoff - exact) < 5 * report.focal_std_error
-        mean, variance = finish_turn_moments(params, profile)
-        assert abs(report.mean_finish_turn - mean) < 5 * math.sqrt(variance / rounds)
-
     def test_geometric_finish_turns(self):
         # With a symmetric population the finish turn is a mixture of two
         # geometrics, one per pointer branch.
@@ -237,13 +237,13 @@ class TestEstimatePayoff:
     @pytest.mark.parametrize(
         "profile, untruncated",
         [(TrustProfile(0.02, 0.03), True), (TrustProfile(1e-5, 1e-5), False)],
-        ids=["negative-binomial", "per-round"],
+        ids=["negative-binomial", "dyadic"],
     )
     def test_finish_turns_on_both_routes(self, profile, untruncated):
         # Where the cap's mass is below the doubles' resolution a branch's
         # turn total is one negative binomial draw; at landing rates of 3e-5
         # a turn the correct-pointer branch keeps s**MAX_TURNS, about e**-30,
-        # so its turns are drawn round by round. Both must give the
+        # so its turns are drawn by dyadic block and bit. Both must give the
         # geometric-mixture mean.
         params = GameParams(3, 2, 0.9)
         rounds = 10**6
@@ -256,8 +256,8 @@ class TestEstimatePayoff:
 
     # A correct-pointer round lasts about 5,000 turns, so 10**12 rounds'
     # turn total has a mean past the negative binomial's range and is drawn
-    # in parts.
-    @pytest.mark.parametrize("rounds", [10**8, 10**12], ids=["long-rounds", "turn-total-in-parts"])
+    # by dyadic block and bit.
+    @pytest.mark.parametrize("rounds", [10**8, 10**12], ids=["long-rounds", "dyadic-turn-total"])
     def test_cost_does_not_grow_with_the_rounds(self, rounds):
         params, profile = GameParams(2, 3, 0.5), TrustProfile(1e-4, 1e-4)
         start = time.perf_counter()
@@ -269,6 +269,46 @@ class TestEstimatePayoff:
         assert abs(report.focal_mean_payoff - exact) < 4 * report.focal_std_error
         mean, variance = finish_turn_moments(params, profile)
         assert abs(report.mean_finish_turn - mean) < 4 * math.sqrt(variance / rounds)
+
+    def test_dyadic_blocks_tile_the_turns(self):
+        # One block per set bit of MAX_TURNS, widest first, each starting
+        # where the one before it ends and the last ending at MAX_TURNS.
+        widths = [2**b for b in _WIDTH_BITS]
+        assert widths == [2**19, 2**18, 2**17, 2**16, 2**14, 2**9, 2**6]
+        assert list(_OFFSETS) == [0, 524288, 786432, 917504, 983040, 999424, 999936]
+        assert [o + w for o, w in zip(_OFFSETS, widths)] == [*_OFFSETS[1:], MAX_TURNS]
+
+    # Targets for log s, s the chance of no landing in a turn: a cap mass
+    # s**MAX_TURNS near e**-1 and near e**-30, and an untruncated branch
+    # whose 2**41 rounds' turn total has a mean past the negative binomial's
+    # range.
+    @pytest.mark.parametrize(
+        "target, rounds",
+        [(-1e-6, 1_000), (-3e-5, 1_000), (-1e-3, 2**41)],
+        ids=["cap-mass-e-1", "cap-mass-e-30", "past-negative-binomial"],
+    )
+    def test_turn_total_has_the_truncated_geometric_moments(self, target, rounds):
+        # A finished round's turn is Geometric(1 - s) given it is at most
+        # C = MAX_TURNS, with mean 1/(1 - s) - C s^C / (1 - s^C) and
+        # variance s / (1 - s)^2 - C^2 s^C / (1 - s^C)^2. Given m finished
+        # rounds, (total - m mean) / sqrt(m) has mean 0 and that variance.
+        n, landing = 2, -math.expm1(target / 2)
+        log_s = _log_no_landing(landing, landing, n)
+        s, cap = math.exp(log_s), math.exp(MAX_TURNS * log_s)
+        if cap < 2**-54:  # untruncated, so drawn by block only past this mean
+            assert rounds * s > 2**50 * -math.expm1(log_s)
+        mean = 1 / -math.expm1(log_s) - MAX_TURNS * cap / -math.expm1(MAX_TURNS * log_s)
+        variance = s / math.expm1(log_s) ** 2 - (
+            MAX_TURNS**2 * cap / math.expm1(MAX_TURNS * log_s) ** 2
+        )
+        rng = np.random.Generator(np.random.Philox(key=48))
+        draws = 4_000
+        scaled = np.empty(draws)
+        for i in range(draws):
+            _, _, turns, finished = _sample_branch(rng, rounds, landing, landing, n)
+            scaled[i] = (turns - finished * mean) / math.sqrt(finished)
+        assert abs(scaled.mean()) < 4 * math.sqrt(variance / draws)
+        assert abs(np.mean(scaled**2) / variance - 1) < 4 * math.sqrt(2 / draws)
 
     @staticmethod
     def run_two_to_the_62_rounds(params, profile):
@@ -301,14 +341,31 @@ class TestEstimatePayoff:
 
     def test_two_to_the_62_rounds_of_long_play_take_bounded_time(self):
         # Rounds of about 2,500 turns on the pointer-right branch: its turn
-        # total is drawn in about 1e7 negative-binomial parts, as arrays
-        # (about 3 s on a 2-CPU Xeon). Drawn one scalar call per part, the
-        # call took about 24 s there.
+        # total has a mean past the negative binomial's range, so it is one
+        # multinomial over the cap's dyadic blocks and one vector of
+        # binomials over their bits, at a cost that does not grow with the
+        # rounds.
         params, profile = GameParams(2, 3, 0.5), TrustProfile(1e-4, 1e-4)
         elapsed, mean, std_error, capped = self.run_two_to_the_62_rounds(params, profile)
-        assert elapsed < 8.0
+        assert elapsed < 1.0
         assert capped == 0
         assert abs(mean - expected_payoff(params, profile)) < 4 * std_error
+
+    def test_two_to_the_62_rounds_under_a_binding_cap_take_bounded_time(self):
+        # Landing rates of 3e-5 a turn leave the pointer-right branch a cap
+        # mass of about e**-30, so about 2.6e5 of the rounds are capped and
+        # the others' turns are drawn by dyadic block and bit. Drawn round by
+        # round at about 9 ns each, this call would take over a thousand
+        # years.
+        params, profile = GameParams(3, 2, 0.6), TrustProfile(1e-5, 1e-5)
+        elapsed, mean, std_error, capped = self.run_two_to_the_62_rounds(params, profile)
+        assert elapsed < 1.0
+        assert abs(mean - expected_payoff(params, profile)) < 4 * std_error
+        s_right = (1 - 1e-5) ** 3
+        s_wrong = (1 - (1 - 1e-5) / 2) ** 3
+        chance = 0.6 * s_right**MAX_TURNS + 0.4 * s_wrong**MAX_TURNS
+        expected = 2**62 * chance
+        assert abs(capped - expected) < 4 * math.sqrt(expected * (1 - chance))
 
     def test_capped_count_matches_its_law(self):
         # A round is capped when nobody lands in MAX_TURNS turns, which on a
