@@ -10,9 +10,7 @@ the command line.
 
 Each check is registered in order by the _criterion decorator, which times
 it, combines the verdicts it yields, applies its wall-time budget if it has
-one, and returns a CriterionResult; run_all executes them in order. quick
-mode shrinks the random grids and Monte Carlo sizes for a fast smoke run and
-is not the normative configuration.
+one, and returns a CriterionResult; run_all executes them in order.
 """
 
 from __future__ import annotations
@@ -55,18 +53,18 @@ _CRITERIA = []
 def _criterion(name: str, budget_s: float | None = None):
     """Register a check as the next numbered criterion.
 
-    The check maps quick to the (passed, detail) verdicts it yields, one per
-    case. The criterion times it and passes when every verdict does, with
-    the details joined by "; "; with a budget it fails at budget_s seconds
-    or more, and its detail ends with the total time.
+    The check yields (passed, detail) verdicts, one per case. The criterion
+    times it and passes when every verdict does, with the details joined by
+    "; "; with a budget it fails at budget_s seconds or more, and its detail
+    ends with the total time.
     """
 
     def register(check):
         number = len(_CRITERIA) + 1
 
-        def criterion(quick: bool = False) -> CriterionResult:
+        def criterion() -> CriterionResult:
             start = time.perf_counter()
-            verdicts = list(check(quick))
+            verdicts = list(check())
             elapsed = time.perf_counter() - start
             passed = all(ok for ok, _ in verdicts)
             detail = "; ".join(text for _, text in verdicts)
@@ -94,7 +92,7 @@ def _random_game(
 
 
 @_criterion("figure roots")
-def criterion_1(quick: bool) -> Iterator[tuple[bool, str]]:
+def criterion_1() -> Iterator[tuple[bool, str]]:
     """Solved roots match the known two-decimal values, under 1 ms each."""
     cases = [(0.5, 0.53), (2.0 / 3.0, 0.70), (3.0 / 4.0, 0.78)]
     solve_equilibrium(GameParams(5, 3, 0.5))  # warm-up outside the timing
@@ -111,10 +109,10 @@ def criterion_1(quick: bool) -> Iterator[tuple[bool, str]]:
 
 
 @_criterion("symmetric payoff identity")
-def criterion_2(quick: bool) -> Iterator[tuple[bool, str]]:
+def criterion_2() -> Iterator[tuple[bool, str]]:
     """Symmetric profile pays exactly 1/n to within 1e-12."""
     rng = np.random.default_rng(1002)
-    count = 120 if quick else 500
+    count = 500
     worst = 0.0
     for _ in range(count):
         params = _random_game(rng, 100, 10)
@@ -125,10 +123,10 @@ def criterion_2(quick: bool) -> Iterator[tuple[bool, str]]:
 
 
 @_criterion("trust exceeds reliability")
-def criterion_3(quick: bool) -> Iterator[tuple[bool, str]]:
+def criterion_3() -> Iterator[tuple[bool, str]]:
     """Equilibrium trust strictly exceeds reliability; zero violations."""
     rng = np.random.default_rng(1003)
-    count = 100 if quick else 300
+    count = 300
     violations = 0
     smallest = math.inf
     for _ in range(count):
@@ -143,7 +141,7 @@ def criterion_3(quick: bool) -> Iterator[tuple[bool, str]]:
 
 
 @_criterion("eventually decreasing in n", budget_s=10.0)
-def criterion_4(quick: bool) -> Iterator[tuple[bool, str]]:
+def criterion_4() -> Iterator[tuple[bool, str]]:
     """Trust strictly decreasing past the threshold and converging, under 10 s."""
     for k, p in ((1, 0.9), (3, 0.5), (10, 0.75)):
         first = math.ceil(trust_decrease_threshold(p, k)) + 1
@@ -157,7 +155,7 @@ def criterion_4(quick: bool) -> Iterator[tuple[bool, str]]:
 
 
 @_criterion("increasing in k")
-def criterion_5(quick: bool) -> Iterator[tuple[bool, str]]:
+def criterion_5() -> Iterator[tuple[bool, str]]:
     """Equilibrium trust strictly increasing in the ray count."""
     for n, p in ((5, 0.6), (20, 0.51)):
         values = sweep_k(n, p, range(1, 11)).ys
@@ -169,11 +167,11 @@ def criterion_5(quick: bool) -> Iterator[tuple[bool, str]]:
 
 
 @_criterion("oracle triangle", budget_s=60.0)
-def criterion_6(quick: bool) -> Iterator[tuple[bool, str]]:
+def criterion_6() -> Iterator[tuple[bool, str]]:
     """Series, closed form and Monte Carlo agree on a random tuple grid, under 60 s."""
     rng = np.random.default_rng(1006)
-    count = 12 if quick else 50
-    rounds = 100_000 if quick else 1_000_000
+    count = 50
+    rounds = 1_000_000
     worst_series = 0.0
     worst_z = 0.0
     ok = True
@@ -198,9 +196,8 @@ def criterion_6(quick: bool) -> Iterator[tuple[bool, str]]:
 
 
 @_criterion("equilibrium verification")
-def criterion_7(quick: bool) -> Iterator[tuple[bool, str]]:
+def criterion_7() -> Iterator[tuple[bool, str]]:
     """Brute-force equilibrium verification at the reference instances."""
-    rounds = 100_000 if quick else 1_000_000
     for i, (n, k, p) in enumerate(
         ((5, 3, 0.5), (5, 3, 2.0 / 3.0), (5, 3, 0.75), (2, 1, 2.0 / 3.0))
     ):
@@ -209,7 +206,7 @@ def criterion_7(quick: bool) -> Iterator[tuple[bool, str]]:
         q_bar = check.solution.q_bar
         report = estimate_payoff(
             SimulationConfig(
-                params, TrustProfile(q_bar, q_bar), rounds=rounds, seed=70_000 + i
+                params, TrustProfile(q_bar, q_bar), rounds=1_000_000, seed=70_000 + i
             )
         )
         z = abs(report.focal_mean_payoff - 1.0 / n) / report.focal_std_error
@@ -222,7 +219,7 @@ def criterion_7(quick: bool) -> Iterator[tuple[bool, str]]:
 
 
 @_criterion("best-response trichotomy")
-def criterion_8(quick: bool) -> Iterator[tuple[bool, str]]:
+def criterion_8() -> Iterator[tuple[bool, str]]:
     """Large-population best response: all-or-nothing away from matching."""
     params = GameParams(1000, 3, 0.5)
     step = 1.0 / 2000
@@ -239,10 +236,10 @@ def _sign_changes(values: tuple[float, ...]) -> int:
 
 
 @_criterion("unique residual root")
-def criterion_9(quick: bool) -> Iterator[tuple[bool, str]]:
+def criterion_9() -> Iterator[tuple[bool, str]]:
     """The residual has exactly one interior sign change, at the solved root."""
     rng = np.random.default_rng(1009)
-    count = 60 if quick else 200
+    count = 200
     bad = 0
     for _ in range(count):
         params = _random_game(rng, 50, 10)
@@ -279,12 +276,11 @@ def _cli_bytes(args: list[str]) -> bytes:
 
 
 @_criterion("byte determinism")
-def criterion_10(quick: bool) -> Iterator[tuple[bool, str]]:
+def criterion_10() -> Iterator[tuple[bool, str]]:
     """Repeated CLI invocations produce byte-identical output."""
-    rounds = "20000" if quick else "100000"
     simulate_args = [
         "simulate", "--n", "2", "--k", "1", "--p", "0.6667",
-        "--q", "0.7", "--rounds", rounds, "--seed", "42",
+        "--q", "0.7", "--rounds", "100000", "--seed", "42",
     ]
     solve_args = ["solve", "--n", "5", "--k", "3", "--p", "0.5"]
     sim_same = _cli_bytes(simulate_args) == _cli_bytes(simulate_args)
@@ -297,6 +293,6 @@ def criterion_10(quick: bool) -> Iterator[tuple[bool, str]]:
 CRITERIA = tuple(_CRITERIA)
 
 
-def run_all(quick: bool = False) -> list[CriterionResult]:
+def run_all() -> list[CriterionResult]:
     """Run every acceptance criterion in order."""
-    return [criterion(quick=quick) for criterion in CRITERIA]
+    return [criterion() for criterion in CRITERIA]

@@ -173,7 +173,7 @@ def _cmd_verify(args) -> int:
     # Imported here: no other subcommand needs the acceptance suite.
     from .acceptance import run_all
 
-    results = run_all(quick=args.quick)
+    results = run_all()
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         print(f"{status}  criterion {result.number:2d}  {result.name}: {result.detail}")
@@ -226,9 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="random seed, 0 to 2**64-1")
     command("best-response", "scan deviations against fixed trust",
             _cmd_best_response, "--n --k --p --q")
-    verify = command("verify", "run the acceptance suite", _cmd_verify)
-    verify.add_argument("--quick", action="store_true",
-                        help="smaller grids and Monte Carlo sizes")
+    command("verify", "run the acceptance suite", _cmd_verify)
     command("single-searcher", "optimal trust of a lone searcher (baseline)",
             _cmd_single_searcher, "--p --k")
     return parser

@@ -65,7 +65,10 @@ def _as_count(value, name: str, least: int | None = None) -> int:
 
 
 def _as_probability(value, name: str) -> float:
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an int past the largest double
+        x = math.inf
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite")
     return x
@@ -299,13 +302,20 @@ def trust_decrease_threshold(p: float, k: int) -> float:
 
     Returns 3 + 2 ln(k) / ln((k-1+p) / (k(1-p))); exactly 3 for k = 1, and
     diverging as p approaches the 1/(k+1) signal floor. Below the threshold
-    trust may move either way with n.
+    trust may move either way with n. The log is taken as
+    log1p(d / (k(1-p))) with d = (k+1)p - 1, that ratio divided once from
+    the integers of p's exact ratio: near the floor the quotient
+    (k-1+p)/(k(1-p)) rounds to within a few ulps of 1, and its log keeps
+    none of its digits. Where the ratio underflows to 0 the threshold is
+    inf.
     """
     k = _as_count(k, "k", 1)
     p = _as_reliability(p, k)
-    if k == 1:
-        return 3.0
-    return 3.0 + 2.0 * math.log(k) / math.log((k - 1.0 + p) / (k * (1.0 - p)))
+    a, b = p.as_integer_ratio()
+    log_ratio = math.log1p(((k + 1) * a - b) / (k * (b - a)))
+    if log_ratio == 0.0:
+        return math.inf
+    return 3.0 + 2.0 * math.log(k) / log_ratio
 
 
 def single_searcher_optimal_trust(p: float, k: int) -> float:

@@ -1,4 +1,4 @@
-"""The harness behind the acceptance criteria: registration, budgets, quick mode."""
+"""The harness behind the acceptance criteria: registration, running, budgets."""
 
 from starsearch import acceptance
 
@@ -11,16 +11,21 @@ def test_criteria_registered_in_order():
     ]
 
 
-def test_quick_run_passes_at_the_quick_sizes():
-    results = acceptance.run_all(quick=True)
+def test_run_all_calls_every_criterion_once_in_order(monkeypatch):
+    # Stubs stand in for the checks; tests/test_acceptance.py runs the real
+    # ones at their sizes.
+    calls = []
+
+    def stub(number):
+        def criterion():
+            calls.append(number)
+            return acceptance.CriterionResult(number, "stub", True, "", 0.0)
+        return criterion
+
+    monkeypatch.setattr(acceptance, "CRITERIA", tuple(map(stub, range(1, 11))))
+    results = acceptance.run_all()
+    assert calls == list(range(1, 11))
     assert [r.number for r in results] == list(range(1, 11))
-    failed = [(r.number, r.detail) for r in results if not r.passed]
-    assert not failed
-    detail = {r.number: r.detail for r in results}
-    assert detail[2].endswith("over 120 tuples")
-    assert "over 100 triples" in detail[3]
-    assert detail[6].startswith("12 tuples x 100000 rounds")
-    assert detail[9] == "0 of 60 grids failed the single-crossing check"
 
 
 def test_budget_fails_a_slow_check_and_reports_the_total(monkeypatch):
@@ -28,21 +33,21 @@ def test_budget_fails_a_slow_check_and_reports_the_total(monkeypatch):
     seen = []
 
     @acceptance._criterion("unbudgeted")
-    def first(quick):
-        seen.append(quick)
+    def first():
+        seen.append("ran")
         yield True, "fine"
         yield True, "also fine"
 
     @acceptance._criterion("over budget", budget_s=0.0)
-    def second(quick):
+    def second():
         yield True, "fine"
 
     assert acceptance._CRITERIA == [first, second]
-    plain = first(quick=True)
+    plain = first()
     assert (plain.number, plain.name, plain.passed, plain.detail) == (
         1, "unbudgeted", True, "fine; also fine",
     )
-    assert seen == [True]
+    assert seen == ["ran"]
     late = second()
     assert (late.number, late.name, late.passed) == (2, "over budget", False)
     assert late.detail.startswith("fine; total ")

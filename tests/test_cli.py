@@ -472,15 +472,21 @@ class TestVerify:
             CriterionResult(1, "alpha", True, "fine", 0.0),
             CriterionResult(2, "beta", True, "fine", 0.0),
         ]
-        monkeypatch.setattr("starsearch.acceptance.run_all", lambda quick: fake)
+        monkeypatch.setattr("starsearch.acceptance.run_all", lambda: fake)
         code, out, _ = run_cli(capsys, "verify")
         assert code == 0
         assert out.count("PASS") == 2
 
         fake[1] = CriterionResult(2, "beta", False, "broken", 0.0)
-        code, out, _ = run_cli(capsys, "verify", "--quick")
+        code, out, _ = run_cli(capsys, "verify")
         assert code == 1
         assert "FAIL" in out
+
+    def test_quick_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            dispatch(["verify", "--quick"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --quick" in capsys.readouterr().err
 
 
 def fresh_python(code: str) -> str:

@@ -59,8 +59,12 @@ class TestGameParams:
         with pytest.raises(ValueError, match="strictly less than 1"):
             GameParams(5, 3, 1.0)
 
-    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "p", [math.nan, math.inf, pytest.param(10**400, id="10**400")]
+    )
     def test_non_finite_p_rejected(self, p):
+        # An int past the largest double is rejected like inf, not with the
+        # OverflowError that converting it to a float raises.
         with pytest.raises(ValueError, match="^p must be finite$"):
             GameParams(5, 3, p)
 
@@ -387,6 +391,27 @@ class TestTrustDecreaseThreshold:
         values = [trust_decrease_threshold(0.25 + eps, 3) for eps in (1e-2, 1e-4, 1e-6)]
         assert values[0] < values[1] < values[2]
         assert values[2] > 1e4
+        # Down to the first doubles above the floor, where (k-1+p)/(k(1-p))
+        # lies within a few ulps of 1.
+        for k in (2, 3, 5, 10, 1000, 10**6, 10**300):
+            p = 1.0 / (k + 1)
+            values = []
+            for _ in range(8):
+                p = math.nextafter(p, 1.0)
+                values.append(trust_decrease_threshold(p, k))
+            assert all(v > 3.0 for v in values), k
+            assert all(b <= a for a, b in zip(values, values[1:])), k
+        # A 60-digit reference value, one ulp above the floor.
+        assert trust_decrease_threshold(math.nextafter(1 / 1001, 1.0), 1000) == (
+            pytest.approx(6.384066973908719e19, rel=1e-12)
+        )
+
+    def test_infinite_where_the_log_underflows(self):
+        # p = a/2**600 with k + 1 = ceil(2**600/a): the floor 1/(k+1) lies
+        # just below p, so the log's argument, about 1e-330, rounds to 0.
+        a = 7973580347017165
+        k = 2**600 // a
+        assert trust_decrease_threshold(math.ldexp(a, -600), k) == math.inf
 
     def test_domain(self):
         with pytest.raises(ValueError, match=r"p must exceed 1/\(k\+1\)"):
