@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from .model import (
     _DOUBLE_MAX,
     GameParams,
+    _above_floor,
     _as_count,
     _as_int,
     _as_probability,
@@ -130,6 +131,21 @@ def solve_equilibrium(params: GameParams) -> EquilibriumSolution:
     residuals from one pair of powers at q_bar.
     """
     n, k, p = params.n, params.k, params.p
+    iterations, lo, hi = _solve(n, k, p)
+    landing = _landing(n, k, hi)
+    return EquilibriumSolution(
+        q_bar=hi,
+        residual=abs(_reliability(n, hi, landing) - p),
+        e_residual=abs(_residual(k, p, hi, landing)),
+        iterations=iterations,
+        bracket_lo=lo,
+        bracket_hi=hi,
+    )
+
+
+def _solve(n: int, k: int, p: float) -> tuple[int, float, float]:
+    """solve_equilibrium's evaluation count and final cell (lo, hi], for a
+    game the caller has validated."""
     jl, jh = _index(p), _index(1.0)
     lo, hi = _point(jl), 1.0
     fl, fh = 0.0, (1.0 - p) * (n - 1) / p
@@ -142,15 +158,7 @@ def solve_equilibrium(params: GameParams) -> EquilibriumSolution:
         lo, hi = (x, hi) if jl == jm else (lo, x)
         deadline /= 2
         iterations += 1
-    landing = _landing(n, k, hi)
-    return EquilibriumSolution(
-        q_bar=hi,
-        residual=abs(_reliability(n, hi, landing) - p),
-        e_residual=abs(_residual(k, p, hi, landing)),
-        iterations=iterations,
-        bracket_lo=lo,
-        bracket_hi=hi,
-    )
+    return iterations, lo, hi
 
 
 def _index(x, xp=math):
@@ -221,15 +229,16 @@ def _q_bars(
 ) -> list[float]:
     """solve_equilibrium(GameParams(n, k, p)).q_bar for each pair of ns, ks.
 
-    The caller validates the strictest pair. From array_min pairs on, they
-    are lanes of one numpy solve with the same grid and step rule, so each
-    ends on its scalar solve's cell wherever numpy and math give the sign
-    function the same sign (see solve_equilibrium); p is shared, so every
-    lane starts from the same bracket and deadline. Finished lanes leave
-    the arrays.
+    The caller validates the strictest pair, which covers the rest, so no
+    pair is checked again. Below array_min pairs each is one _solve; from
+    array_min on they are lanes of one numpy solve with the same grid and
+    step rule, so each ends on its scalar solve's cell wherever numpy and
+    math give the sign function the same sign (see solve_equilibrium); p is
+    shared, so every lane starts from the same bracket and deadline.
+    Finished lanes leave the arrays.
     """
     if len(ns) < array_min:
-        return [solve_equilibrium(GameParams(n, k, p)).q_bar for n, k in zip(ns, ks)]
+        return [_solve(n, k, p)[2] for n, k in zip(ns, ks)]
     import numpy as np
 
     n, k = np.array(ns, dtype=float), np.array(ks, dtype=float)
@@ -307,7 +316,7 @@ def _reliability_curve(n, k, q_lo, q_hi, steps, array_min: int) -> CurveSamples:
     q_lo = _as_probability(q_lo, "q_lo")
     q_hi = _as_probability(q_hi, "q_hi")
     steps = _as_int(steps, "steps", 2)
-    if not 1.0 / (k + 1) < q_lo < q_hi < 1.0:
+    if not (_above_floor(q_lo, k) and q_lo < q_hi < 1.0):
         raise ValueError("need 1/(k+1) < q_lo < q_hi < 1")
     qs = _uniform_grid(q_lo, q_hi, steps)
     fs = _on_grid(

@@ -81,10 +81,21 @@ def _as_unit(value, name: str) -> float:
     return x
 
 
+def _above_floor(x: float, k: int) -> bool:
+    """Whether the finite double x exceeds 1/(k+1), decided exactly.
+
+    With x = a/b, b > 0, x > 1/(k+1) exactly when (k+1) a > b, in plain
+    ints at any k. The double 1.0 / (k + 1) is the floor rounded, twice past
+    k + 1 = 2**53, to either side of it: 0.2 lies above 1/5.
+    """
+    a, b = x.as_integer_ratio()
+    return (k + 1) * a > b
+
+
 def _as_reliability(value, k: int) -> float:
     """p for a valid ray count k, checked to lie strictly inside (1/(k+1), 1)."""
     p = _as_probability(value, "p")
-    if p <= 1.0 / (k + 1):
+    if not _above_floor(p, k):
         raise ValueError("p must exceed 1/(k+1)")
     if p >= 1.0:
         raise ValueError("p must be strictly less than 1")
@@ -248,7 +259,7 @@ def reliability_from_trust(n: int, k: int, q: float) -> float:
     n = _as_count(n, "n", 2)
     k = _as_count(k, "k", 1)
     q = _as_probability(q, "q")
-    if not 1.0 / (k + 1) < q < 1.0:
+    if not (_above_floor(q, k) and q < 1.0):
         raise ValueError("q must lie strictly inside (1/(k+1), 1)")
     return _reliability(n, q, _landing(n, k, q))
 

@@ -68,11 +68,29 @@ class TestSolve:
     @pytest.mark.parametrize("n,k,p", [
         ("5", "1", "0.5000000001"), ("2", "1", "0.99999999999999989"),
         ("2", "41", "0.02380952380952381"), ("5", "1000000000000", "1e-10"),
+        ("5", "4", "0.2"),  # the double 0.2 is 1/5 + 1.1e-17
     ])
     def test_p_next_to_its_domain_ends_solves(self, capsys, n, k, p):
         code, out, err = run_cli(capsys, "solve", "--n", n, "--k", k, "--p", p)
         assert (code, err) == (0, "")
         assert json.loads(out)["q_bar"] > float(p)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["solve", "--n", "5", "--k", "10000000000000010",
+          "--p", "9.999999999999989e-17"], "p must exceed 1/(k+1)"),
+        (["solve", "--n", "5", "--k", str(10**174), "--p", "1e-174"],
+         "p must exceed 1/(k+1)"),
+        (["single-searcher", "--k", str(10**174), "--p", "1e-174"],
+         "p must exceed 1/(k+1)"),
+        (["curve-f", "--n", "5", "--k", "10000000000000010", "--q-min",
+          "9.999999999999989e-17", "--q-max", "0.5", "--steps", "3"],
+         "need 1/(k+1) < q_lo"),
+    ], ids=["solve-1e16", "solve-1e174", "single-searcher-1e174", "curve-f-1e16"])
+    def test_below_the_floor_at_huge_k_exits_two(self, capsys, argv, message):
+        # Each p or q_lo lies above the double 1.0 / (k + 1) and below 1/(k+1).
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert message in err
 
     def test_ray_count_far_above_population(self, capsys):
         code, out, err = run_cli(

@@ -314,6 +314,24 @@ class TestBracketEnds:
                     assert solution.q_bar > p
                     assert_exact_bracket(n, k, p, solution)
 
+    def test_floor_rounded_up_solves(self):
+        # The double 1.0 / (k + 1) lies above 1/(k+1) at these k below 52,
+        # so it is a valid p, one rounding error above the floor.
+        rounded_up = [
+            k for k in range(1, 52) if Fraction(1.0 / (k + 1)) > Fraction(1, k + 1)
+        ]
+        assert rounded_up == [
+            4, 9, 10, 12, 19, 21, 24, 25, 32, 36, 39, 40, 43, 44, 49, 51,
+        ]
+        for k in rounded_up:
+            p = 1.0 / (k + 1)
+            for n in (2, 3, 5, 100, 10**4, 10**6):
+                solution = solve_equilibrium(GameParams(n, k, p))
+                assert solution.q_bar > p
+                assert solution.residual <= 1e-12
+                if n <= 100:
+                    assert_exact_bracket(n, k, p, solution)
+
     def test_p_next_to_one(self):
         p = 1 - 2**-53
         for n in (2, 5, 100, 10**6):
@@ -410,6 +428,13 @@ class TestReliabilityCurve:
     def test_domain_rejected(self):
         with pytest.raises(ValueError, match=r"1/\(k\+1\)"):
             reliability_curve(5, 3, 0.2, 0.9, 10)
+
+    def test_trust_below_the_floor_at_huge_k_rejected(self):
+        # 1.0 / (k + 1) lies below the floor here, and q_lo above it.
+        k, q_lo = 10**16 + 10, 9.999999999999989e-17
+        assert Fraction(q_lo) < Fraction(1, k + 1)
+        with pytest.raises(ValueError, match=r"need 1/\(k\+1\) < q_lo"):
+            reliability_curve(5, k, q_lo, 0.5, 3)
 
     def test_doubles_next_to_the_open_ends(self):
         for n, k in ((2, 1), (5, 3), (10**6, 10)):

@@ -1,5 +1,6 @@
 import decimal
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -33,6 +34,14 @@ def make_params(n: int, k: int, u: float) -> GameParams:
     return GameParams(n, k, floor + u * (1.0 - floor))
 
 
+# Past k + 1 = 2**53 the double 1.0 / (k + 1) can lie below the floor
+# 1/(k+1); each of these (k, p) has p above that double but below the floor.
+BELOW_THE_FLOOR = [
+    pytest.param(10**16 + 10, 9.999999999999989e-17, id="k=1e16+10"),
+    pytest.param(10**174, 1e-174, id="k=1e174"),
+]
+
+
 class TestGameParams:
     def test_valid_instance(self):
         params = GameParams(5, 3, 0.5)
@@ -58,6 +67,37 @@ class TestGameParams:
     def test_p_one_rejected(self):
         with pytest.raises(ValueError, match="strictly less than 1"):
             GameParams(5, 3, 1.0)
+
+    @pytest.mark.parametrize("k,p", BELOW_THE_FLOOR)
+    def test_p_below_the_floor_at_huge_k_rejected(self, k, p):
+        assert Fraction(p) < Fraction(1, k + 1)
+        with pytest.raises(ValueError, match=r"^p must exceed 1/\(k\+1\)$"):
+            GameParams(5, k, p)
+
+    def test_floor_decided_on_the_exact_value_at_huge_k(self):
+        # The doubles on either side of 1.0 / (k + 1), where that double and
+        # k + 1 are both rounded: p is valid exactly when it exceeds the
+        # rational 1/(k+1).
+        rng = random.Random(20)
+        accepted = rejected = 0
+        for _ in range(500):
+            bits = rng.randrange(53, 1000)
+            k = rng.randrange(2**bits, 2**(bits + 1))
+            p = 1.0 / (k + 1)
+            for _ in range(3):
+                p = math.nextafter(p, 0.0)
+            for _ in range(7):
+                valid = Fraction(p) > Fraction(1, k + 1)
+                try:
+                    GameParams(5, k, p)
+                except ValueError:
+                    assert not valid, (k, p)
+                    rejected += 1
+                else:
+                    assert valid, (k, p)
+                    accepted += 1
+                p = math.nextafter(p, 1.0)
+        assert accepted > 0 and rejected > 0
 
     @pytest.mark.parametrize(
         "p", [math.nan, math.inf, pytest.param(10**400, id="10**400")]
@@ -360,6 +400,11 @@ class TestReliabilityFromTrust:
         with pytest.raises(ValueError, match="strictly inside"):
             reliability_from_trust(5, 3, 1.0)
 
+    @pytest.mark.parametrize("k,q", BELOW_THE_FLOOR)
+    def test_trust_below_the_floor_at_huge_k_rejected(self, k, q):
+        with pytest.raises(ValueError, match="strictly inside"):
+            reliability_from_trust(5, k, q)
+
     def test_strictly_increasing_on_grid(self):
         lo, hi = 0.25 + 1e-6, 1 - 1e-6
         values = [
@@ -416,6 +461,13 @@ class TestTrustDecreaseThreshold:
     def test_domain(self):
         with pytest.raises(ValueError, match=r"p must exceed 1/\(k\+1\)"):
             trust_decrease_threshold(0.25, 3)
+
+    @pytest.mark.parametrize("k,p", BELOW_THE_FLOOR)
+    def test_p_below_the_floor_at_huge_k_rejected(self, k, p):
+        # Under a float floor these were accepted, with thresholds -2.4e34
+        # and -2.0e194.
+        with pytest.raises(ValueError, match=r"p must exceed 1/\(k\+1\)"):
+            trust_decrease_threshold(p, k)
 
 
 class TestSingleSearcherBaseline:
