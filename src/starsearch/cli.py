@@ -26,13 +26,15 @@ from .model import GameParams, TrustProfile, single_searcher_optimal_trust
 __all__ = ["dispatch", "main"]
 
 _LOG_SWEEP_POINTS = 50
-# Curves and sweeps of at least this many points run on numpy arrays, and
-# smaller ones point by point on the math kernels, without importing numpy.
-# Measured on a 2-CPU Xeon host (Python 3.11, numpy 2.4): a process pays
-# 0.1-0.15 s to import numpy, and with that counted, lanes overtake scalar
-# solves at about 3,500 (consecutive k) to 10,000 (consecutive n) points,
-# and array curves overtake the math kernels at about 85,000.
+# Sweeps of at least _ARRAY_MIN points and curves of at least _CURVE_MIN run
+# on numpy arrays, and smaller ones point by point on the math kernels,
+# without importing numpy. Measured on a 2-CPU Xeon host (Python 3.11,
+# numpy 2.4): a process pays 0.1-0.15 s to import numpy, and with that
+# counted, lanes overtake scalar solves at about 3,500 (consecutive k) to
+# 10,000 (consecutive n) points, and array curves, which save about 2 us a
+# point, overtake the math kernels at 75,000 to 80,000.
 _ARRAY_MIN = 1 << 13
+_CURVE_MIN = 80_000
 # sweep-n and sweep-k solve and print this many values at a time, never the range.
 _SWEEP_CHUNK = 1 << 16
 
@@ -90,14 +92,14 @@ def _cmd_solve(args) -> int:
 
 def _cmd_curve_e(args) -> int:
     params = GameParams(args.n, args.k, args.p)
-    curve = _residual_curve(params, args.q_min, args.q_max, args.steps, _ARRAY_MIN)
+    curve = _residual_curve(params, args.q_min, args.q_max, args.steps, _CURVE_MIN)
     _print_curve(curve)
     return 0
 
 
 def _cmd_curve_f(args) -> int:
     curve = _reliability_curve(
-        args.n, args.k, args.q_min, args.q_max, args.steps, _ARRAY_MIN
+        args.n, args.k, args.q_min, args.q_max, args.steps, _CURVE_MIN
     )
     _print_curve(curve)
     return 0

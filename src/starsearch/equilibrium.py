@@ -28,6 +28,7 @@ from .model import (
     _as_count,
     _as_int,
     _as_probability,
+    _excess_and_landing,
     _landing,
     _reliability,
     _reliability_excess,
@@ -126,13 +127,17 @@ def solve_equilibrium(params: GameParams) -> EquilibriumSolution:
     grid, from the secant through the bracket ends (_probe, _step), takes at
     most L + _FREE_STEPS evaluations, L the bit length of the bracket's
     width in cells (at most 52), and typically 1. The lower end's value
-    starts at 0, so the first probe is the grid point above p's, where the
-    answer lies for every n past a few hundred. The diagnostics take both
-    residuals from one pair of powers at q_bar.
+    starts at 0, so the first probe is always the grid point above p's,
+    where the answer lies for every n past a few hundred: _solve evaluates
+    it directly and enters the loop only if its sign is not positive. The
+    diagnostics take both residuals from the powers of the probe that set
+    bracket_hi, and evaluate powers afresh only where that end is 1.0 and
+    was never probed.
     """
     n, k, p = params.n, params.k, params.p
-    iterations, lo, hi = _solve(n, k, p)
-    landing = _landing(n, k, hi)
+    iterations, lo, hi, landing = _solve(n, k, p)
+    if landing is None:
+        landing = _landing(n, k, hi)
     return EquilibriumSolution(
         q_bar=hi,
         residual=abs(_reliability(n, hi, landing) - p),
@@ -143,22 +148,36 @@ def solve_equilibrium(params: GameParams) -> EquilibriumSolution:
     )
 
 
-def _solve(n: int, k: int, p: float) -> tuple[int, float, float]:
-    """solve_equilibrium's evaluation count and final cell (lo, hi], for a
-    game the caller has validated."""
-    jl, jh = _index(p), _index(1.0)
-    lo, hi = _point(jl), 1.0
-    fl, fh = 0.0, (1.0 - p) * (n - 1) / p
-    last, deadline, iterations = 0, _first_deadline(jl, jh), 0
+def _solve(n: int, k: int, p: float):
+    """solve_equilibrium's evaluation count, final cell (lo, hi] and
+    _landing(n, k, hi), None where hi = 1.0 was never probed, for a game the
+    caller has validated. With fl = 0 the first secant guess is lo, clamped
+    up to jl + 1, and the first deadline exceeds the bracket's width, so that
+    probe is taken directly and the loop starts from the state _step leaves."""
+    jl = _index(p)
+    lo = _point(jl)
+    if _TOP - jl <= 1:
+        return 0, lo, 1.0, None
+    deadline = _first_deadline(jl, _TOP) / 2
+    jl += 1
+    x = _point(jl)
+    fl, landing = _excess_and_landing(n, k, p, x)
+    if fl > 0.0:
+        return 1, lo, x, landing
+    jh, lo, hi, fh = _TOP, x, 1.0, (1.0 - p) * (n - 1) / p
+    last, landing, iterations = -1, None, 1
     while jh - jl > 1:
         jm = _probe(jl, jh, lo, hi, fl, fh, deadline)
         x = _point(jm)
-        fm = _reliability_excess(n, k, p, x)
+        fm, powers = _excess_and_landing(n, k, p, x)
         jl, jh, fl, fh, last = _step(jl, jh, fl, fh, last, jm, fm)
-        lo, hi = (x, hi) if jl == jm else (lo, x)
+        if jl == jm:
+            lo = x
+        else:
+            hi, landing = x, powers
         deadline /= 2
         iterations += 1
-    return iterations, lo, hi
+    return iterations, lo, hi, landing
 
 
 def _index(x, xp=math):
@@ -167,6 +186,9 @@ def _index(x, xp=math):
     if xp is math:
         return _INT64.unpack(_DOUBLE.pack(x))[0] >> _GRID_BITS
     return x.view(xp.int64) >> _GRID_BITS
+
+
+_TOP = _index(1.0)  # the grid index of 1.0, every bracket's upper end
 
 
 def _point(j, xp=math):
@@ -242,7 +264,7 @@ def _q_bars(
     import numpy as np
 
     n, k = np.array(ns, dtype=float), np.array(ks, dtype=float)
-    jl, jh = _index(p), _index(1.0)
+    jl, jh = _index(p), _TOP
     deadline = _first_deadline(jl, jh)
     jl, jh = (np.full(len(ns), j, dtype=np.int64) for j in (jl, jh))
     lo, hi = _point(jl, np), np.ones(len(ns))

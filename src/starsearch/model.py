@@ -301,11 +301,27 @@ def _reliability_excess(n, k, p: float, q, xp=math):
     q_star = (1.0 - q) / k
     _, a1, _, a1_complement = _powers(q_star, n, xp)
     _, b1, b_complement, _ = _powers(q, n, xp)
+    return _excess(n, k, p, q, q_star, a1, a1_complement, b1, b_complement, xp)
+
+
+def _excess(n, k, p, q, q_star, a1, a1_complement, b1, b_complement, xp=math):
+    """_reliability_excess from q* = (1-q)/k and the powers it uses:
+    (1-q*)^(n-1), A1, (1-q)^(n-1) and B."""
     d = (q * (k + 1.0) - 1.0) / k
     a_ratio = a1_complement / q_star
     shrink = xp.expm1((n - 1) * xp.log1p(-d / (1.0 - q_star)))
     cross = (d * b1 * a_ratio + a1 * shrink) / q  # D / (q q*)
     return (q - p) / p * (b_complement / q) * a_ratio + (1.0 - q) * cross
+
+
+def _excess_and_landing(n: int, k: int, p: float, q: float):
+    """_reliability_excess(n, k, p, q) and _landing(n, k, q), for a float
+    q < 1, from one pair of _powers calls."""
+    q_star = (1.0 - q) / k
+    _, a1, a_complement, a1_complement = _powers(q_star, n)
+    _, b1, b_complement, b1_complement = _powers(q, n)
+    excess = _excess(n, k, p, q, q_star, a1, a1_complement, b1, b_complement)
+    return excess, (q_star, a_complement, a1_complement, b_complement, b1_complement)
 
 
 def trust_decrease_threshold(p: float, k: int) -> float:

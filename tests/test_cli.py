@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from starsearch.cli import _ARRAY_MIN, _log_grid, _print_curve, dispatch
+from starsearch.cli import _ARRAY_MIN, _CURVE_MIN, _log_grid, _print_curve, dispatch
 from starsearch.equilibrium import EquilibriumSolution, sweep_k, sweep_n
 from starsearch.model import GameParams, equilibrium_residual, reliability_from_trust
 from starsearch.simulate import SimulationReport
@@ -37,7 +37,47 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
+# solve's exact stdout on each evaluation path of the solver: probes in the
+# loop, the first probe alone, none (p's grid point is the one below 1.0),
+# the point where math and numpy disagree, and k far above n.
+GOLDEN_SOLVE = [
+    (["--n", "5", "--k", "3", "--p", "0.5"],  # 7 evaluations
+     '{"q_bar": 0.53047771850663139, '
+     '"residual": 2.9531932455029164e-14, '
+     '"e_residual": 5.0237591864288333e-15, "iterations": 7, '
+     '"bracket_lo": 0.5304777185065177, '
+     '"bracket_hi": 0.53047771850663139}\n'),
+    (["--n", "5000", "--k", "4", "--p", "0.6"],  # 1 evaluation
+     '{"q_bar": 0.60000000000002274, '
+     '"residual": 2.2759572004815709e-14, '
+     '"e_residual": 5.6898930012039273e-15, "iterations": 1, '
+     '"bracket_lo": 0.59999999999990905, '
+     '"bracket_hi": 0.60000000000002274}\n'),
+    (["--n", "2", "--k", "1", "--p", "0.9999999999999999"],  # 0 evaluations
+     '{"q_bar": 1, "residual": 1.1102230246251565e-16, '
+     '"e_residual": 0, "iterations": 0, '
+     '"bracket_lo": 0.99999999999988631, "bracket_hi": 1}\n'),
+    (["--n", "3", "--k", "9", "--p", SPLIT_P],  # 7 evaluations
+     '{"q_bar": 0.78327583273915025, '
+     '"residual": 1.2745360322696797e-13, '
+     '"e_residual": 7.2836701947576188e-16, "iterations": 7, '
+     '"bracket_lo": 0.78327583273903656, '
+     '"bracket_hi": 0.78327583273915025}\n'),
+    (["--n", "2", "--k", "100000000000000000000", "--p", "1e-10"],  # 4 evaluations
+     '{"q_bar": 1.000000000050103e-10, '
+     '"residual": 1.0300983565699423e-23, '
+     '"e_residual": 2.0588625835345156e-73, "iterations": 4, '
+     '"bracket_lo": 1.0000000000499707e-10, '
+     '"bracket_hi": 1.000000000050103e-10}\n'),
+]
+
+
 class TestSolve:
+    @pytest.mark.parametrize("argv,expected", GOLDEN_SOLVE,
+                             ids=["loop", "first-probe", "none", "split", "huge-k"])
+    def test_output_bytes(self, capsys, argv, expected):
+        assert run_cli(capsys, "solve", *argv) == (0, expected, "")
+
     def test_json_output(self, capsys):
         code, out, err = run_cli(capsys, "solve", "--n", "5", "--k", "3", "--p", "0.5")
         assert code == 0
@@ -570,9 +610,9 @@ def loaded_after(argvs: list[list[str]], modules: list[str]) -> list[list[str]]:
 
 
 def test_scalar_subcommands_leave_numpy_unloaded():
-    # Only batches of _ARRAY_MIN points or more, and simulate, import numpy;
-    # smaller sweeps solve point by point, curves take the math kernels, and
-    # a best-response scan is scalar.
+    # Only sweeps of _ARRAY_MIN points or more, curves of _CURVE_MIN, and
+    # simulate import numpy; smaller sweeps solve point by point, smaller
+    # curves take the math kernels, and a best-response scan is scalar.
     argvs = [
         ["solve", "--n", "5", "--k", "3", "--p", "0.5"],
         ["single-searcher", "--p", "0.9", "--k", "2"],
@@ -593,19 +633,20 @@ def test_scalar_subcommands_leave_numpy_unloaded():
     assert len(out.getvalue().splitlines()) == 51
 
 
-@pytest.mark.parametrize("argv,first", [
-    (["sweep-k", "--n", "5", "--p", "0.75", "--k-from", "1", "--k-to"], 1),
-    (["sweep-n", "--k", "3", "--p", "0.5", "--n-from", "2", "--n-to"], 2),
+@pytest.mark.parametrize("argv,first,size", [
+    (["sweep-k", "--n", "5", "--p", "0.75", "--k-from", "1", "--k-to"], 1,
+     _ARRAY_MIN),
+    (["sweep-n", "--k", "3", "--p", "0.5", "--n-from", "2", "--n-to"], 2,
+     _ARRAY_MIN),
     (["curve-e", "--n", "5", "--k", "3", "--p", "0.5", "--q-min", "0.34",
-      "--q-max", "0.8", "--steps"], 1),
+      "--q-max", "0.8", "--steps"], 1, _CURVE_MIN),
     (["curve-f", "--n", "5", "--k", "3", "--q-min", "0.26", "--q-max", "0.99",
-      "--steps"], 1),
+      "--steps"], 1, _CURVE_MIN),
 ], ids=["sweep-k", "sweep-n", "curve-e", "curve-f"])
-def test_a_batch_at_the_threshold_loads_numpy(argv, first):
-    # A batch of _ARRAY_MIN - 1 points runs on math, one of _ARRAY_MIN
-    # points on numpy arrays.
-    sizes = (_ARRAY_MIN - 1, _ARRAY_MIN)
-    below, at = (argv + [str(first + size - 1)] for size in sizes)
+def test_a_batch_at_the_threshold_loads_numpy(argv, first, size):
+    # A batch of size - 1 points runs on math and one of size points on
+    # numpy arrays: _ARRAY_MIN for sweeps, _CURVE_MIN for curves.
+    below, at = (argv + [str(first + m - 1)] for m in (size - 1, size))
     assert loaded_after([below, at], ["numpy"]) == [[], [], ["numpy"]]
 
 

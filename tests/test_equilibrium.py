@@ -25,7 +25,13 @@ from starsearch import (
 from starsearch import equilibrium
 from starsearch.acceptance import _random_game
 from starsearch.equilibrium import _FREE_STEPS, _GRID_BITS, _LANE_MIN, _step
-from starsearch.model import _reliability_excess
+from starsearch.model import (
+    _excess_and_landing,
+    _landing,
+    _reliability,
+    _reliability_excess,
+    _residual,
+)
 
 
 def scalar_q_bar(n, k, p):
@@ -195,6 +201,17 @@ def edge_reliabilities(k, gap):
     return max(floor + share, math.nextafter(floor, 1.0)), min(1 - share, 1 - 2**-53)
 
 
+def scattered_games(seed, count):
+    """count seeded games: n log-uniform from 2 to 1e6, k from 1 to 10 and p
+    uniform over the middle 98% of its domain."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(round(math.exp(rng.uniform(math.log(2), math.log(1e6)))))
+        k = int(rng.integers(1, 11))
+        floor = 1 / (k + 1)
+        yield n, k, floor + (1 - floor) * rng.uniform(0.01, 0.99)
+
+
 def assert_within_the_bound(n, k, p):
     solution = solve_equilibrium(GameParams(n, k, p))
     lo, hi = solution.bracket_lo, solution.bracket_hi
@@ -221,28 +238,48 @@ class TestStepRule:
 
     def test_evaluation_counts_on_scattered_games(self):
         # Counts, not times, so they are the same on every run.
-        rng = np.random.default_rng(2024)
-        counts = []
-        for _ in range(1000):
-            n = int(round(math.exp(rng.uniform(math.log(2), math.log(1e6)))))
-            k = int(rng.integers(1, 11))
-            floor = 1 / (k + 1)
-            p = floor + (1 - floor) * rng.uniform(0.01, 0.99)
-            counts.append(solve_equilibrium(GameParams(n, k, p)).iterations)
+        counts = [
+            solve_equilibrium(GameParams(n, k, p)).iterations
+            for n, k, p in scattered_games(2024, 1000)
+        ]
         assert statistics.median(counts) <= 1
         assert max(counts) <= 7
 
     def test_iterations_count_every_evaluation(self, monkeypatch):
+        # The scalar solve evaluates the sign function through
+        # _excess_and_landing, once per evaluation, the first probe included.
         calls = []
 
         def counted(*args):
             calls.append(args)
-            return _reliability_excess(*args)
+            return _excess_and_landing(*args)
 
-        monkeypatch.setattr(equilibrium, "_reliability_excess", counted)
+        monkeypatch.setattr(equilibrium, "_excess_and_landing", counted)
         for n, k, p in EDGE_TRIPLES:
             calls.clear()
             assert solve_equilibrium(GameParams(n, k, p)).iterations == len(calls)
+        # The first probe alone, none (p's grid point is the one below 1.0),
+        # and the loop.
+        for (n, k, p), expected in [
+            ((5000, 4, 0.6), 1), ((2, 1, 1 - 2**-53), 0), ((5, 3, 0.5), 7),
+        ]:
+            calls.clear()
+            solution = solve_equilibrium(GameParams(n, k, p))
+            assert solution.iterations == len(calls) == expected
+
+    def test_diagnostics_equal_a_fresh_evaluation(self):
+        # residual and e_residual come from the powers of the probe that set
+        # bracket_hi; they must equal both residuals computed afresh there.
+        games = EDGE_TRIPLES + list(scattered_games(2025, 1000))
+        for n in (2, 5, 10**6):
+            for k in (1, 3, 10**12, 10**30):
+                games += [(n, k, p) for p in edge_reliabilities(k, 5e-324)]
+        for n, k, p in games:
+            solution = solve_equilibrium(GameParams(n, k, p))
+            hi = solution.bracket_hi
+            landing = _landing(n, k, hi)
+            assert solution.residual == abs(_reliability(n, hi, landing) - p)
+            assert solution.e_residual == abs(_residual(k, p, hi, landing))
 
     def test_anderson_bjorck_weights(self):
         # The lower end moves twice: the upper value is scaled by
