@@ -20,8 +20,8 @@ import os
 import subprocess
 import sys
 import time
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,13 +38,8 @@ from .verify import best_response_scan, check_equilibrium
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str
-    elapsed: float
+class CriterionResult(namedtuple("CriterionResult", "number name passed detail elapsed")):
+    __slots__ = ()
 
 
 _CRITERIA = []

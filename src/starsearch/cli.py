@@ -10,7 +10,6 @@ success, 1 when verification fails, 2 for invalid parameters.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
@@ -86,7 +85,7 @@ def _print_json(fields: dict[str, object]) -> None:
 
 def _cmd_solve(args) -> int:
     sol = solve_equilibrium(GameParams(args.n, args.k, args.p))
-    _print_json(dataclasses.asdict(sol))
+    _print_json(sol._asdict())
     return 0
 
 
@@ -155,7 +154,7 @@ def _cmd_simulate(args) -> int:
     params = GameParams(args.n, args.k, args.p)
     profile = TrustProfile(args.q, args.q if args.r is None else args.r)
     config = SimulationConfig(params, profile, args.rounds, args.seed)
-    _print_json(dataclasses.asdict(estimate_payoff(config)))
+    _print_json(estimate_payoff(config)._asdict())
     return 0
 
 

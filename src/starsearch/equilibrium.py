@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 import operator
 import struct
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 from .model import (
     _DOUBLE_MAX,
@@ -28,6 +28,7 @@ from .model import (
     _as_count,
     _as_int,
     _as_probability,
+    _checked_make,
     _excess_and_landing,
     _landing,
     _reliability,
@@ -63,8 +64,8 @@ _LANE_MIN = 32
 _DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")
 
 
-@dataclass(frozen=True)
-class EquilibriumSolution:
+class EquilibriumSolution(namedtuple("EquilibriumSolution", "q_bar residual e_residual"
+                                     " iterations bracket_lo bracket_hi")):
     """Equilibrium trust plus solver diagnostics.
 
     q_bar equals bracket_hi, the upper end of the final grid cell.
@@ -72,31 +73,25 @@ class EquilibriumSolution:
     the initial bracket is evaluated.
     """
 
-    q_bar: float
-    residual: float
-    e_residual: float
-    iterations: int
-    bracket_lo: float
-    bracket_hi: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CurveSamples:
+class CurveSamples(namedtuple("CurveSamples", "abscissa_name ordinate_name points")):
     """Ordered (abscissa, ordinate) pairs, e.g. for writing figure data."""
 
-    abscissa_name: str
-    ordinate_name: str
-    points: tuple[tuple[float, float], ...]
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self) -> None:
+    def __new__(cls, abscissa_name: str, ordinate_name: str, points) -> CurveSamples:
         last = -math.inf
-        for x, y in self.points:
+        for x, y in points:
             # Compared, not converted: an int past the doubles is not finite.
             if not (abs(x) <= _DOUBLE_MAX and abs(y) <= _DOUBLE_MAX):
                 raise ValueError("curve values must be finite")
             if x <= last:
                 raise ValueError("abscissa values must be strictly increasing")
             last = x
+        return tuple.__new__(cls, (abscissa_name, ordinate_name, points))
 
     @property
     def xs(self) -> tuple[float, ...]:

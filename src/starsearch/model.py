@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "GameParams",
@@ -132,8 +132,12 @@ def _per_rate(complement, x, limit, xp=math):
     return xp.where(x > 0.0, complement / xp.where(x > 0.0, x, 1.0), float(limit))
 
 
-@dataclass(frozen=True)
-class GameParams:
+def _checked_make(cls, values):
+    """namedtuple._make, and so _replace, through the record's validating __new__."""
+    return cls(*values)
+
+
+class GameParams(namedtuple("GameParams", "n k p")):
     """One game instance: n searchers, k + 1 rays, pointer reliability p.
 
     Requires n >= 2 (a single searcher is an optimization problem, not a
@@ -142,26 +146,23 @@ class GameParams:
     leaves nothing to decide.
     """
 
-    n: int
-    k: int
-    p: float
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _as_count(self.n, "n", 2))
-        object.__setattr__(self, "k", _as_count(self.k, "k", 1))
-        object.__setattr__(self, "p", _as_reliability(self.p, self.k))
+    def __new__(cls, n: int, k: int, p: float) -> GameParams:
+        n = _as_count(n, "n", 2)
+        k = _as_count(k, "k", 1)
+        return tuple.__new__(cls, (n, k, _as_reliability(p, k)))
 
 
-@dataclass(frozen=True)
-class TrustProfile:
+class TrustProfile(namedtuple("TrustProfile", "q r")):
     """Population trust q (the n - 1 others) and focal trust r."""
 
-    q: float
-    r: float
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "q", _as_unit(self.q, "q"))
-        object.__setattr__(self, "r", _as_unit(self.r, "r"))
+    def __new__(cls, q: float, r: float) -> TrustProfile:
+        return tuple.__new__(cls, (_as_unit(q, "q"), _as_unit(r, "r")))
 
 
 def _branch_payoff(n: int, x: float):

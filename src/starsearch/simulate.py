@@ -55,14 +55,19 @@ run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from collections import namedtuple
+from typing import TYPE_CHECKING
 
-from .model import GameParams, TrustProfile, _as_count, _as_int, _require_interior_q
+from .model import (
+    GameParams,
+    TrustProfile,
+    _as_count,
+    _as_int,
+    _checked_make,
+    _require_interior_q,
+)
 
-if TYPE_CHECKING:  # imported where a round's payoffs or an array is built
-    from fractions import Fraction
-
+if TYPE_CHECKING:  # imported where an array is built
     import numpy as np
 
 __all__ = [
@@ -93,8 +98,7 @@ _WINDOW_LIMIT = 1 << 22
 _EXACT_COUNT_LIMIT = 1 << 53
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(namedtuple("SimulationConfig", "params profile rounds seed")):
     """Everything needed to reproduce one payoff estimate of rounds capped
     at MAX_TURNS turns.
 
@@ -102,45 +106,42 @@ class SimulationConfig:
     (_coarrival_window): at trust 1/2, from about n = 1.1e10.
     """
 
-    params: GameParams
-    profile: TrustProfile
-    rounds: int
-    seed: int
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rounds", _as_int(self.rounds, "rounds", 1))
-        object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
-        if self.rounds >= _ROUNDS_LIMIT:
+    def __new__(
+        cls, params: GameParams, profile: TrustProfile, rounds: int, seed: int
+    ) -> SimulationConfig:
+        rounds = _as_int(rounds, "rounds", 1)
+        seed = _as_int(seed, "seed")
+        if rounds >= _ROUNDS_LIMIT:
             raise ValueError("rounds must be below 2**63")
-        if not 0 <= self.seed < _SEED_LIMIT:
+        if not 0 <= seed < _SEED_LIMIT:
             raise ValueError("seed must be an unsigned 64-bit integer")
         for correct in (True, False):
-            other_p = _branch_probabilities(self.params, self.profile, correct)[1]
-            _coarrival_window(other_p, self.params.n)
+            other_p = _branch_probabilities(params, profile, correct)[1]
+            _coarrival_window(other_p, params.n)
+        return tuple.__new__(cls, (params, profile, rounds, seed))
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(namedtuple("SimulationReport", "rounds_completed capped_rounds"
+                                  " focal_mean_payoff focal_std_error mean_finish_turn"
+                                  " seed_echo warning", defaults=(None,))):
     """Focal payoff statistics from independent rounds.
 
     mean_finish_turn averages over uncapped rounds only (NaN if every round
-    was capped). warning is set whenever capped rounds occurred, since capped
-    rounds score zero and drag the estimate low.
+    was capped). warning, None by default, is set whenever capped rounds
+    occurred, since capped rounds score zero and drag the estimate low.
     """
 
-    rounds_completed: int
-    capped_rounds: int
-    focal_mean_payoff: float
-    focal_std_error: float
-    mean_finish_turn: float
-    seed_echo: int
-    warning: str | None = None
+    __slots__ = ()
 
 
-class RoundResult(NamedTuple):
-    focal_payoff: float
-    payoffs: list[Fraction]
-    finish_turn: int | None
+class RoundResult(namedtuple("RoundResult", "focal_payoff payoffs finish_turn")):
+    """One round: the focal payoff, every searcher's payoff as a Fraction
+    (the focal searcher's first) and the landing turn, None if capped."""
+
+    __slots__ = ()
 
 
 def _branch_probabilities(

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 
-from .equilibrium import _GRID_BITS, EquilibriumSolution, solve_equilibrium, sweep_n
+from .equilibrium import _GRID_BITS, solve_equilibrium, sweep_n
 from .model import (
     GameParams,
     _as_probability,
@@ -42,47 +42,32 @@ _TIE_ULPS = 64.0
 _R_STEPS = 2001
 
 
-@dataclass(frozen=True)
-class BestResponseScan:
-    """Payoff of every scanned deviation against a fixed population trust."""
+class BestResponseScan(namedtuple("BestResponseScan", "q_fixed grid argmax_r max_payoff")):
+    """Payoff of every scanned deviation against a fixed population trust:
+    grid holds the (r, payoff) pairs."""
 
-    q_fixed: float
-    grid: tuple[tuple[float, float], ...]
-    argmax_r: float
-    max_payoff: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EquilibriumCheck:
+class EquilibriumCheck(namedtuple("EquilibriumCheck", "params solution scan argmax_gap"
+                                  " argmax_ok best_payoff_excess no_profitable_deviation"
+                                  " e_residual_ok")):
     """Pass/fail record for the three equilibrium assertions."""
 
-    params: GameParams
-    solution: EquilibriumSolution
-    scan: BestResponseScan
-    argmax_gap: float
-    argmax_ok: bool
-    best_payoff_excess: float
-    no_profitable_deviation: bool
-    e_residual_ok: bool
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.argmax_ok and self.no_profitable_deviation and self.e_residual_ok
 
 
-@dataclass(frozen=True)
-class ProbabilityMatchingReport:
+class ProbabilityMatchingReport(namedtuple("ProbabilityMatchingReport", "k p n_values gaps"
+                                           " threshold all_gaps_positive"
+                                           " decreasing_above_threshold final_gap"
+                                           " final_gap_ok")):
     """Trust-minus-reliability gaps along a population sweep."""
 
-    k: int
-    p: float
-    n_values: tuple[int, ...]
-    gaps: tuple[float, ...]
-    threshold: float
-    all_gaps_positive: bool
-    decreasing_above_threshold: bool
-    final_gap: float
-    final_gap_ok: bool
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -93,10 +92,9 @@ class TestSolve:
         assert out == ""
         assert "p must exceed 1/(k+1)" in err
 
-    def test_fields_follow_the_dataclass(self, capsys):
-        names = [field.name for field in dataclasses.fields(EquilibriumSolution)]
+    def test_fields_follow_the_record(self, capsys):
         _, out, _ = run_cli(capsys, "solve", "--n", "5", "--k", "3", "--p", "0.5")
-        assert list(json.loads(out)) == names
+        assert list(json.loads(out)) == list(EquilibriumSolution._fields)
 
     @pytest.mark.parametrize("argv,name", [
         (["--n", HUGE, "--k", "1"], "n"), (["--n", "2", "--k", HUGE], "k"),
@@ -376,14 +374,12 @@ class TestSimulate:
         assert payload["warning"] is None
         assert abs(payload["focal_mean_payoff"] - 0.5) < 5 * payload["focal_std_error"]
 
-    def test_fields_follow_the_dataclass(self, capsys):
+    def test_fields_follow_the_record(self, capsys):
         _, out, _ = run_cli(
             capsys, "simulate", "--n", "2", "--k", "1", "--p", "0.6667",
             "--q", "0.7", "--rounds", "100", "--seed", "1",
         )
-        assert list(json.loads(out)) == [
-            field.name for field in dataclasses.fields(SimulationReport)
-        ]
+        assert list(json.loads(out)) == list(SimulationReport._fields)
 
     def test_focal_trust_defaults_to_population(self, capsys):
         shared = ("--n", "2", "--k", "1", "--p", "0.6667", "--rounds", "2000",
@@ -690,6 +686,34 @@ def test_in_process_dispatch_prints_what_a_child_process_prints():
         if (code, stdout.encode()) != (child.returncode, child.stdout):
             differ.append(" ".join(argv))
     assert differ == []
+
+
+def test_subcommands_leave_dataclasses_and_inspect_unloaded():
+    # The records are namedtuples, so no subcommand loads dataclasses, and
+    # without numpy nothing loads inspect; numpy, which simulate imports,
+    # loads inspect itself.
+    argvs = [
+        ["solve", "--n", "5", "--k", "3", "--p", "0.5"],
+        ["curve-e", "--n", "5", "--k", "3", "--p", "0.5", "--q-min", "0.34",
+         "--q-max", "0.8", "--steps", "20"],
+        ["curve-f", "--n", "5", "--k", "3", "--q-min", "0.26", "--q-max", "0.99",
+         "--steps", "20"],
+        ["sweep-n", "--k", "3", "--p", "0.5", "--n-from", "2", "--n-to", "1000",
+         "--log"],
+        ["sweep-k", "--n", "5", "--p", "0.75", "--k-from", "1", "--k-to", "20"],
+        ["best-response", "--n", "5", "--k", "3", "--p", "0.5", "--q", "0.53"],
+        ["single-searcher", "--p", "0.9", "--k", "2"],
+        ["simulate", "--n", "2", "--k", "1", "--p", "0.6", "--q", "0.7",
+         "--rounds", "1000", "--seed", "1"],
+    ]
+    loaded = loaded_after(argvs, ["dataclasses", "inspect"])
+    assert loaded[:8] == [[]] * 8
+    assert "dataclasses" not in loaded[8]
+
+
+def test_acceptance_import_leaves_dataclasses_unloaded():
+    code = "import sys, starsearch.acceptance; print('dataclasses' in sys.modules)"
+    assert fresh_python(code).strip() == "False"
 
 
 def test_solver_subcommands_leave_simulate_and_verify_unloaded():
