@@ -4,20 +4,22 @@ Data goes to stdout (CSV for curves and sweeps, JSON for reports),
 diagnostics to stderr. Integers are printed exactly and reals with 17
 significant digits, so that every value parses back to the exact number, and
 identical invocations produce byte-identical output. Exit codes: 0 on
-success, 1 when verification fails, 2 for invalid parameters.
+success, 1 when verification fails or stdout is closed early, 2 for invalid
+parameters.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
+import os
 import sys
 
 from .equilibrium import (
-    _reliability_curve,
-    _residual_curve,
-    _sweep_k,
-    _sweep_n,
+    _q_bars,
+    _reliability_sampler,
+    _residual_sampler,
     solve_equilibrium,
 )
 from .model import GameParams, TrustProfile, single_searcher_optimal_trust
@@ -34,8 +36,9 @@ _LOG_SWEEP_POINTS = 50
 # point, overtake the math kernels at 75,000 to 80,000.
 _ARRAY_MIN = 1 << 13
 _CURVE_MIN = 80_000
-# sweep-n and sweep-k solve and print this many values at a time, never the range.
-_SWEEP_CHUNK = 1 << 16
+# Sweeps and curves compute and print this many rows at a time, never the
+# whole range or grid.
+_CHUNK = 1 << 16
 
 # Options that several subcommands take, each declared once: flag -> (type, help).
 _SHARED = {
@@ -58,16 +61,24 @@ def _print_csv(header: str | None, points) -> None:
     sys.stdout.write(rows if header is None else f"{header}\n{rows}")
 
 
-def _print_curve(curve, header: bool = True) -> None:
-    names = f"{curve.abscissa_name},{curve.ordinate_name}"
-    _print_csv(names if header else None, curve.points)
+def _print_samples(steps: int, sample) -> None:
+    """Print a curve's sampler _CHUNK rows at a time, on the route its whole
+    steps decide, so the bytes do not depend on the chunks."""
+    arrays = steps >= _CURVE_MIN
+    for start in range(0, steps, _CHUNK):
+        curve = sample(start, min(start + _CHUNK, steps), arrays)
+        _print_csv(f"q,{curve.ordinate_name}" if start == 0 else None, curve.points)
 
 
-def _print_sweep(sweep, fixed: int, p: float, lo: int, hi: int) -> None:
-    """Print sweep(fixed, p, lo..hi), solving _SWEEP_CHUNK values at a time."""
-    for start in range(lo, hi + 1, _SWEEP_CHUNK):
-        values = range(start, min(start + _SWEEP_CHUNK, hi + 1))
-        _print_curve(sweep(fixed, p, values, _ARRAY_MIN), header=start == lo)
+def _print_sweep(name: str, values, fixed: int, p: float) -> None:
+    """Print q_bar against name, n or k, for the increasing values, whose
+    ends the caller has validated, solving _CHUNK of them at a time."""
+    sys.stdout.write(f"{name},q_bar\n")
+    values = iter(values)
+    while chunk := list(itertools.islice(values, _CHUNK)):
+        others = [fixed] * len(chunk)
+        ns, ks = (chunk, others) if name == "n" else (others, chunk)
+        _print_csv(None, zip(chunk, _q_bars(ns, ks, p, _ARRAY_MIN)))
 
 
 def _json_field(key: str, value) -> str:
@@ -91,16 +102,14 @@ def _cmd_solve(args) -> int:
 
 def _cmd_curve_e(args) -> int:
     params = GameParams(args.n, args.k, args.p)
-    curve = _residual_curve(params, args.q_min, args.q_max, args.steps, _CURVE_MIN)
-    _print_curve(curve)
+    sample = _residual_sampler(params, args.q_min, args.q_max, args.steps)
+    _print_samples(args.steps, sample)
     return 0
 
 
 def _cmd_curve_f(args) -> int:
-    curve = _reliability_curve(
-        args.n, args.k, args.q_min, args.q_max, args.steps, _CURVE_MIN
-    )
-    _print_curve(curve)
+    sample = _reliability_sampler(args.n, args.k, args.q_min, args.q_max, args.steps)
+    _print_samples(args.steps, sample)
     return 0
 
 
@@ -111,11 +120,10 @@ def _cmd_sweep_n(args) -> int:
     GameParams(hi, args.k, args.p)
     if hi < lo:
         raise ValueError("--n-to must not be below --n-from")
-    if not args.log:
-        _print_sweep(_sweep_n, args.k, args.p, lo, hi)
-        return 0
-    values = _log_grid(lo, hi, min(_LOG_SWEEP_POINTS, hi - lo + 1))
-    _print_curve(_sweep_n(args.k, args.p, values, _ARRAY_MIN))
+    values = range(lo, hi + 1)
+    if args.log:
+        values = _log_grid(lo, hi, min(_LOG_SWEEP_POINTS, hi - lo + 1))
+    _print_sweep("n", values, args.k, args.p)
     return 0
 
 
@@ -143,7 +151,7 @@ def _cmd_sweep_k(args) -> int:
     # Name a bad argument before building the range from it.
     GameParams(args.n, args.k_to, args.p)
     GameParams(args.n, args.k_from, args.p)
-    _print_sweep(_sweep_k, args.n, args.p, args.k_from, args.k_to)
+    _print_sweep("k", range(args.k_from, args.k_to + 1), args.n, args.p)
     return 0
 
 
@@ -244,7 +252,14 @@ def dispatch(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch())
+    try:
+        code = dispatch()
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout closed early, as by head: no traceback
+        # Python's recipe: stdout goes to devnull, so the flush at exit passes.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

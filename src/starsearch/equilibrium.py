@@ -9,7 +9,7 @@ diagonal, and equilibrium-trust sweeps in the population size and the ray
 count. Curves evaluate the model's formulas once on the whole grid, and long
 sweeps solve every point at once as numpy lanes of the same kernel and step
 rule. Smaller batches run point by point on the math kernels. Which route a
-batch takes depends on its size and on the size passed to the private
+batch takes depends on its size and on the route passed to the private
 helper that runs it, never on what the process has already imported.
 """
 
@@ -29,10 +29,9 @@ from .model import (
     _as_int,
     _as_probability,
     _checked_make,
-    _excess_and_landing,
+    _excess,
     _landing,
     _reliability,
-    _reliability_excess,
     _residual,
 )
 
@@ -58,7 +57,8 @@ _FREE_STEPS = 12
 # lanes, and smaller ones as per-point scalar solves: with numpy loaded, the
 # measured crossover is about 20 points for consecutive n or k and about 40
 # for n log-spaced to 1e6. Its curves always take numpy arrays. The private
-# helpers behind both take that size as an argument, array_min.
+# helpers behind both take the route as an argument: _q_bars the batch size
+# from which it uses lanes, a curve's sampler whether it uses arrays.
 _LANE_MIN = 32
 
 _DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")
@@ -109,10 +109,10 @@ def solve_equilibrium(params: GameParams) -> EquilibriumSolution:
     point j is the double whose bit pattern is j * 2**_GRID_BITS, so cells
     are 1,024 ulps wide at every scale. q_bar = bracket_hi is the first grid
     point where the sign function is positive and bracket_lo the one below
-    it, so the root lies in (lo, hi]. The sign function is
-    _reliability_excess, the reliability map's excess over p scaled to keep
-    clear of underflow. The initial bracket runs from p's grid point at or
-    below p to 1.0, and neither end's sign is evaluated: the paper's theorem
+    it, so the root lies in (lo, hi]. The sign function is _excess, the
+    reliability map's excess over p scaled to keep clear of underflow. The
+    initial bracket runs from p's grid point at or below p to 1.0, and
+    neither end's sign is evaluated: the paper's theorem
     q_bar > p makes the excess negative at every q <= p, and towards q = 1
     the sign function tends to (1-p)(n-1)/p > 0. So q_bar > p holds by
     construction, and for every valid p. Only signs at grid points decide
@@ -156,7 +156,8 @@ def _solve(n: int, k: int, p: float):
     deadline = _first_deadline(jl, _TOP) / 2
     jl += 1
     x = _point(jl)
-    fl, landing = _excess_and_landing(n, k, p, x)
+    landing = _landing(n, k, x)
+    fl = _excess(n, k, p, x, landing)
     if fl > 0.0:
         return 1, lo, x, landing
     jh, lo, hi, fh = _TOP, x, 1.0, (1.0 - p) * (n - 1) / p
@@ -164,12 +165,13 @@ def _solve(n: int, k: int, p: float):
     while jh - jl > 1:
         jm = _probe(jl, jh, lo, hi, fl, fh, deadline)
         x = _point(jm)
-        fm, powers = _excess_and_landing(n, k, p, x)
+        probed = _landing(n, k, x)
+        fm = _excess(n, k, p, x, probed)
         jl, jh, fl, fh, last = _step(jl, jh, fl, fh, last, jm, fm)
         if jl == jm:
             lo = x
         else:
-            hi, landing = x, powers
+            hi, landing = x, probed
         deadline /= 2
         iterations += 1
     return iterations, lo, hi, landing
@@ -276,58 +278,62 @@ def _q_bars(
             )
         jm = _probe(jl, jh, lo, hi, fl, fh, deadline, np)
         x = _point(jm, np)
-        fm = _reliability_excess(n, k, p, x, np)
+        fm = _excess(n, k, p, x, _landing(n, k, x, np), np)
         jl, jh, fl, fh, last = _step(jl, jh, fl, fh, last, jm, fm, np)
         lo, hi = np.where(jl == jm, x, lo), np.where(jh == jm, x, hi)
         deadline /= 2
 
 
-def _uniform_grid(lo: float, hi: float, steps: int) -> list[float]:
+def _sampler(name: str, q_lo: float, q_hi: float, steps: int, kernel):
+    """sample(start, stop, arrays): the CurveSamples of kernel(q, xp) at
+    points start to stop - 1 of the uniform grid from q_lo to q_hi with
+    steps points, ends included, by default all of them. With arrays the
+    kernel runs once on a numpy array, else point by point with xp=math; the
+    two can differ in the last bit, as numpy's and math's exp/log1p/expm1 do."""
     last = steps - 1
-    return [lo * (1.0 - i / last) + hi * (i / last) for i in range(steps)]
 
+    def sample(start: int = 0, stop: int = steps, arrays: bool = True) -> CurveSamples:
+        qs = [q_lo * (1.0 - i / last) + q_hi * (i / last) for i in range(start, stop)]
+        if arrays:
+            import numpy as np
 
-def _on_grid(kernel, qs: list[float], array_min: int) -> list[float]:
-    """kernel(q, xp) at each q of qs: point by point with xp=math below
-    array_min points, else once on a numpy array. The two can differ in
-    the last bit, as numpy's and math's exp/log1p/expm1 do."""
-    if len(qs) < array_min:
-        return [kernel(q, math) for q in qs]
-    import numpy as np
+            with np.errstate(divide="ignore"):
+                ys = kernel(np.array(qs), np).tolist()
+        else:
+            ys = [kernel(q, math) for q in qs]
+        return CurveSamples("q", name, tuple(zip(qs, ys)))
 
-    with np.errstate(divide="ignore"):
-        return kernel(np.array(qs), np).tolist()
+    return sample
 
 
 def residual_curve(
     params: GameParams, q_lo: float, q_hi: float, steps: int
 ) -> CurveSamples:
     """Equilibrium residual sampled on a uniform trust grid (endpoints included)."""
-    return _residual_curve(params, q_lo, q_hi, steps, array_min=0)
+    return _residual_sampler(params, q_lo, q_hi, steps)()
 
 
-def _residual_curve(params, q_lo, q_hi, steps, array_min: int) -> CurveSamples:
+def _residual_sampler(params, q_lo, q_hi, steps):
+    """residual_curve's _sampler, from its validated arguments."""
     q_lo = _as_probability(q_lo, "q_lo")
     q_hi = _as_probability(q_hi, "q_hi")
     steps = _as_int(steps, "steps", 2)
     if not 0.0 <= q_lo < q_hi <= 1.0:
         raise ValueError("need 0 <= q_lo < q_hi <= 1")
     n, k, p = params.n, params.k, params.p
-    qs = _uniform_grid(q_lo, q_hi, steps)
-    es = _on_grid(
-        lambda q, xp: _residual(k, p, q, _landing(n, k, q, xp)), qs, array_min
-    )
-    return CurveSamples("q", "E", tuple(zip(qs, es)))
+    return _sampler("E", q_lo, q_hi, steps,
+                    lambda q, xp: _residual(k, p, q, _landing(n, k, q, xp)))
 
 
 def reliability_curve(
     n: int, k: int, q_lo: float, q_hi: float, steps: int
 ) -> CurveSamples:
     """Reliability map sampled on a uniform trust grid inside its open domain."""
-    return _reliability_curve(n, k, q_lo, q_hi, steps, array_min=0)
+    return _reliability_sampler(n, k, q_lo, q_hi, steps)()
 
 
-def _reliability_curve(n, k, q_lo, q_hi, steps, array_min: int) -> CurveSamples:
+def _reliability_sampler(n, k, q_lo, q_hi, steps):
+    """reliability_curve's _sampler, from its validated arguments."""
     n = _as_count(n, "n", 2)
     k = _as_count(k, "k", 1)
     q_lo = _as_probability(q_lo, "q_lo")
@@ -335,11 +341,8 @@ def _reliability_curve(n, k, q_lo, q_hi, steps, array_min: int) -> CurveSamples:
     steps = _as_int(steps, "steps", 2)
     if not (_above_floor(q_lo, k) and q_lo < q_hi < 1.0):
         raise ValueError("need 1/(k+1) < q_lo < q_hi < 1")
-    qs = _uniform_grid(q_lo, q_hi, steps)
-    fs = _on_grid(
-        lambda q, xp: _reliability(n, q, _landing(n, k, q, xp), xp), qs, array_min
-    )
-    return CurveSamples("q", "F", tuple(zip(qs, fs)))
+    return _sampler("F", q_lo, q_hi, steps,
+                    lambda q, xp: _reliability(n, q, _landing(n, k, q, xp), xp))
 
 
 def _sorted_unique(values: Iterable[int], name: str) -> list[int]:
@@ -358,13 +361,9 @@ def _sorted_unique(values: Iterable[int], name: str) -> list[int]:
 def sweep_n(k: int, p: float, n_values: Iterable[int]) -> CurveSamples:
     """Equilibrium trust against population size at fixed (k, p); the
     abscissae are the requested n, as ints."""
-    return _sweep_n(k, p, n_values, _LANE_MIN)
-
-
-def _sweep_n(k, p, n_values, array_min: int) -> CurveSamples:
     ns = _sorted_unique(n_values, "n_values")
     params = GameParams(ns[0], k, p)  # the smallest n is the strictest
-    q_bars = _q_bars(ns, [params.k] * len(ns), params.p, array_min)
+    q_bars = _q_bars(ns, [params.k] * len(ns), params.p, _LANE_MIN)
     return CurveSamples("n", "q_bar", tuple(zip(ns, q_bars)))
 
 
@@ -375,11 +374,7 @@ def sweep_k(n: int, p: float, k_values: Iterable[int]) -> CurveSamples:
     Every entry must satisfy p > 1/(k+1); an entry below the signal floor
     raises rather than being silently dropped.
     """
-    return _sweep_k(n, p, k_values, _LANE_MIN)
-
-
-def _sweep_k(n, p, k_values, array_min: int) -> CurveSamples:
     ks = _sorted_unique(k_values, "k_values")
     params = GameParams(n, ks[0], p)  # the smallest k is the strictest
-    q_bars = _q_bars([params.n] * len(ks), ks, params.p, array_min)
+    q_bars = _q_bars([params.n] * len(ks), ks, params.p, _LANE_MIN)
     return CurveSamples("k", "q_bar", tuple(zip(ks, q_bars)))

@@ -20,7 +20,8 @@ simulator and verifier build on: the focal searcher's expected share, the
 equilibrium residual, the monotone map from equilibrium trust back to pointer
 reliability, the population size past which equilibrium trust starts
 falling, and the optimal trust of a lone searcher used as a baseline. Each
-closed form takes its powers (1 - x)^n and their complements from one
+closed form reads its per-turn landing chances from one function, _landing,
+which takes the powers (1 - x)^(n-1) and their complements from one
 exp/log1p kernel, so all of them keep full double accuracy at trusts near 0
 or 1 and at any n. All functions are pure and safe to call concurrently.
 """
@@ -165,9 +166,10 @@ class TrustProfile(namedtuple("TrustProfile", "q r")):
         return tuple.__new__(cls, (_as_unit(q, "q"), _as_unit(r, "r")))
 
 
-def _branch_payoff(n: int, x: float):
+def _branch_payoff(n: int, x: float, complement: float, complement1: float):
     """One pointer branch of the payoff, as a function of the focal
-    trust-rate y against others' x, and of t = y/x.
+    trust-rate y against others' x, and of t = y/x, from the complements
+    1-(1-x)^n and 1-(1-x)^(n-1) that _landing gives for x.
 
     The per-turn share y (1-(1-x)^n) / (n x) summed over the turns in which
     nobody has landed, whose chance per turn is (1-x)^(n-1) (1-y); the
@@ -179,7 +181,6 @@ def _branch_payoff(n: int, x: float):
     k is huge and q near 1, S and S1 take their limits 1 and n - 1 and the
     branch stays defined. Where t overflows, the branch is its limit S.
     """
-    _, _, complement, complement1 = _powers(x, n)
     share = _per_rate(complement, n * x, 1.0)
     share1 = _per_rate(complement1, x, n - 1.0)
 
@@ -193,8 +194,11 @@ def _branch_payoff(n: int, x: float):
 
 def _payoff(n: int, k: int, p: float, q: float):
     """expected_payoff without validation, as a function of the focal trust r."""
-    right = _branch_payoff(n, q)
-    wrong = _branch_payoff(n, (1.0 - q) / k)
+    q_star, _, a_complement, a1_complement, _, b_complement, b1_complement = (
+        _landing(n, k, q)
+    )
+    right = _branch_payoff(n, q, b_complement, b1_complement)
+    wrong = _branch_payoff(n, q_star, a_complement, a1_complement)
     miss = 1.0 - q
 
     def payoff(r: float) -> float:
@@ -231,18 +235,19 @@ def equilibrium_residual(params: GameParams, q: float) -> float:
 
 
 def _landing(n, k, q, xp=math):
-    """q* = (1-q)/k and A, A1, B, B1 = 1-(1-q*)^n, 1-(1-q*)^(n-1),
-    1-(1-q)^n, 1-(1-q)^(n-1): the chances that someone lands in a turn,
-    which _residual and _reliability share. q may be a numpy array."""
+    """q*, a1, A, A1, b1, B, B1: q* = (1-q)/k, a1, A, A1 = (1-q*)^(n-1),
+    1-(1-q*)^n, 1-(1-q*)^(n-1), and b1, B, B1 the same for q. A and B are the
+    chances that someone lands in a turn. Every closed form reads its powers
+    from here, the only caller of _powers. q, n and k may be numpy arrays."""
     q_star = (1.0 - q) / k
-    _, _, a_complement, a1_complement = _powers(q_star, n, xp)
-    _, _, b_complement, b1_complement = _powers(q, n, xp)
-    return q_star, a_complement, a1_complement, b_complement, b1_complement
+    _, a1, a_complement, a1_complement = _powers(q_star, n, xp)
+    _, b1, b_complement, b1_complement = _powers(q, n, xp)
+    return q_star, a1, a_complement, a1_complement, b1, b_complement, b1_complement
 
 
 def _residual(k, p: float, q, landing):
     """equilibrium_residual without validation, from _landing(n, k, q)."""
-    q_star, a_complement, a1_complement, b_complement, b1_complement = landing
+    q_star, _, a_complement, a1_complement, _, b_complement, b1_complement = landing
     p_star = (1.0 - p) / k
     return p * q_star * a_complement * b1_complement - (
         p_star * q * b_complement * a1_complement
@@ -269,12 +274,12 @@ def _reliability(n, q, landing, xp=math):
     """reliability_from_trust without validation, from _landing(n, k, q).
 
     own / (own + other), with own = q B A1 and other = (1-q) A B1 as in
-    _reliability_excess, both divided by q q q* so that neither underflows
+    _excess, both divided by q q q* so that neither underflows
     where q and q* are near 1e-300. Where q* is 0, as (1-q)/k is when k is
     huge and q near 1, and at q = 1, A/q* and A1/q* take their limits n and
     n - 1, so q = 1 gives the limit 1. With xp=numpy, q is an array.
     """
-    q_star, a_complement, a1_complement, b_complement, b1_complement = landing
+    q_star, _, a_complement, a1_complement, _, b_complement, b1_complement = landing
     a_ratio = _per_rate(a_complement, q_star, n, xp)
     a1_ratio = _per_rate(a1_complement, q_star, n - 1.0, xp)
     own = b_complement / q * a1_ratio
@@ -282,14 +287,13 @@ def _reliability(n, q, landing, xp=math):
     return own / (own + other)
 
 
-def _reliability_excess(n, k, p: float, q, xp=math):
+def _excess(n, k, p: float, q, landing, xp=math):
     """reliability_from_trust(n, k, q) - p times a positive factor, with a
-    sign to trust.
+    sign to trust, from _landing(n, k, q).
 
-    The difference's numerator is q(1-p) B A1 - p(1-q) A B1, where
-    A, A1 = 1-(1-q*)^n, 1-(1-q*)^(n-1) with q* = (1-q)/k, and B, B1 are the
-    same for q. That is (q - p) B A1 + p(1-q) D, where D = B A1 - A B1 is
-    d (1-q)^(n-1) A1 + q* (1-q*)^(n-1) expm1((n-1) log1p(-d/(1-q*))) with
+    The difference's numerator is q(1-p) B A1 - p(1-q) A B1, with A, A1, B
+    and B1 as in _landing. That is (q - p) B A1 + p(1-q) D, where D = B A1 -
+    A B1 is d (1-q)^(n-1) A1 + q* (1-q*)^(n-1) expm1((n-1) log1p(-d/(1-q*))) with
     d = q - q* = ((k+1)q - 1)/k. This returns it divided by p q q*, from the
     ratios B/q, A1/q* and d/q, none of which underflows even where p and q*
     are near 1e-300. Near the root the numerator's two products agree in
@@ -299,30 +303,12 @@ def _reliability_excess(n, k, p: float, q, xp=math):
     underflows. Needs q < 1; towards q = 1 it tends to (1-p)(n-1)/p. With
     xp=numpy, n, k and q may be arrays.
     """
-    q_star = (1.0 - q) / k
-    _, a1, _, a1_complement = _powers(q_star, n, xp)
-    _, b1, b_complement, _ = _powers(q, n, xp)
-    return _excess(n, k, p, q, q_star, a1, a1_complement, b1, b_complement, xp)
-
-
-def _excess(n, k, p, q, q_star, a1, a1_complement, b1, b_complement, xp=math):
-    """_reliability_excess from q* = (1-q)/k and the powers it uses:
-    (1-q*)^(n-1), A1, (1-q)^(n-1) and B."""
+    q_star, a1, _, a1_complement, b1, b_complement, _ = landing
     d = (q * (k + 1.0) - 1.0) / k
     a_ratio = a1_complement / q_star
     shrink = xp.expm1((n - 1) * xp.log1p(-d / (1.0 - q_star)))
     cross = (d * b1 * a_ratio + a1 * shrink) / q  # D / (q q*)
     return (q - p) / p * (b_complement / q) * a_ratio + (1.0 - q) * cross
-
-
-def _excess_and_landing(n: int, k: int, p: float, q: float):
-    """_reliability_excess(n, k, p, q) and _landing(n, k, q), for a float
-    q < 1, from one pair of _powers calls."""
-    q_star = (1.0 - q) / k
-    _, a1, a_complement, a1_complement = _powers(q_star, n)
-    _, b1, b_complement, b1_complement = _powers(q, n)
-    excess = _excess(n, k, p, q, q_star, a1, a1_complement, b1, b_complement)
-    return excess, (q_star, a_complement, a1_complement, b_complement, b1_complement)
 
 
 def trust_decrease_threshold(p: float, k: int) -> float:

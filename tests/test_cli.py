@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -13,8 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from starsearch.cli import _ARRAY_MIN, _CURVE_MIN, _log_grid, _print_curve, dispatch
-from starsearch.equilibrium import EquilibriumSolution, sweep_k, sweep_n
+from starsearch.cli import _ARRAY_MIN, _CURVE_MIN, _log_grid, _print_csv, dispatch
+from starsearch.equilibrium import (
+    EquilibriumSolution,
+    reliability_curve,
+    sweep_k,
+    sweep_n,
+)
 from starsearch.model import GameParams, equilibrium_residual, reliability_from_trust
 from starsearch.simulate import SimulationReport
 
@@ -34,6 +40,38 @@ def run_cli(capsys, *args):
     code = dispatch(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def print_curve(curve):
+    """Print a whole curve as the CLI prints its rows."""
+    _print_csv(f"{curve.abscissa_name},{curve.ordinate_name}", curve.points)
+
+
+def capped_child(argv):
+    """A child `python -m starsearch` with pipes for stdout and stderr and
+    its address space capped at 1 GiB, so a command that builds its whole
+    range fails instead of exhausting the host."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "starsearch", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=CHILD_ENV,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30,) * 2),
+    )
+
+
+def child_head(argv, lines):
+    """The first lines of a capped child's stdout; a timer kills a child
+    that does not print them within a minute."""
+    proc = capped_child(argv)
+    timer = threading.Timer(60.0, proc.kill)
+    timer.start()
+    try:
+        return [proc.stdout.readline() for _ in range(lines)]
+    finally:
+        timer.cancel()
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
 
 
 # solve's exact stdout on each evaluation path of the solver: probes in the
@@ -71,11 +109,35 @@ GOLDEN_SOLVE = [
 ]
 
 
+# The SHA-256 of the exact stdout, its line count and the exact stderr of
+# the other commands on the math route: curves below _CURVE_MIN steps, and
+# the best-response scan. The curves are the rows where numpy would print
+# other digits (see test_in_process_dispatch_prints_what_a_child_process_prints).
+GOLDEN_MATH = [
+    (["curve-e", "--n", "3", "--k", "3", "--p", "0.2777374022969217",
+      "--q-min", "0.250001", "--q-max", "0.999999", "--steps", "51"],
+     "9dfc65580dd16d869205f2deda1d3b1d1ef473b704d564751ad6a3060a986abd", 52, ""),
+    (["curve-f", "--n", "26", "--k", "9",
+      "--q-min", "0.100001", "--q-max", "0.999999", "--steps", "51"],
+     "9980466cb8e41b830bc032a4a989c3ec0a620dda309cd991db05ff5269d642a6", 52, ""),
+    (["best-response", "--n", "5", "--k", "3", "--p", "0.5", "--q", "0.53"],
+     "37ba37cbb34c1839eb03b61e06a46261995e4ac73e62257c72ee1c2ee53e4037", 2002,
+     "argmax_r=0.53249999999999997 max_payoff=0.20000041201638041\n"),
+]
+
+
 class TestSolve:
     @pytest.mark.parametrize("argv,expected", GOLDEN_SOLVE,
                              ids=["loop", "first-probe", "none", "split", "huge-k"])
     def test_output_bytes(self, capsys, argv, expected):
         assert run_cli(capsys, "solve", *argv) == (0, expected, "")
+
+    @pytest.mark.parametrize("argv,digest,lines,err", GOLDEN_MATH,
+                             ids=["curve-e", "curve-f", "best-response"])
+    def test_math_route_output_bytes(self, capsys, argv, digest, lines, err):
+        code, out, got_err = run_cli(capsys, *argv)
+        assert (code, got_err, out.count("\n")) == (0, err, lines)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_json_output(self, capsys):
         code, out, err = run_cli(capsys, "solve", "--n", "5", "--k", "3", "--p", "0.5")
@@ -194,6 +256,37 @@ class TestCurves:
         assert (code, err) == (0, "")
         q, f = map(float, out.splitlines()[-1].split(","))
         assert (q, f) == (1 - 2**-53, reliability_from_trust(3, 10**308, q))
+
+    def test_chunked_curve_prints_one_whole_curve(self, capsys):
+        # Four chunks, each on numpy arrays, as the whole steps decide.
+        code, out, err = run_cli(
+            capsys, "curve-f", "--n", "26", "--k", "9",
+            "--q-min", "0.100001", "--q-max", "0.999999", "--steps", "200000",
+        )
+        assert (code, err) == (0, "")
+        print_curve(reliability_curve(26, 9, 0.100001, 0.999999, 200000))
+        assert out == capsys.readouterr().out
+
+    def test_long_curve_prints_rows_before_it_is_built(self, capsys):
+        # 1e12 rows would not fit in memory; the first rows must come all
+        # the same, from a child capped as in the sweep test below.
+        argv = ["curve-e", "--n", "5", "--k", "3", "--p", "0.5",
+                "--q-min", "0.34", "--q-max", "0.8", "--steps"]
+        head = child_head([*argv, str(10**12)], 4)
+        assert head[0] == "q,E\n"
+        rows = [tuple(map(float, line.split(","))) for line in head[1:]]
+        params = GameParams(5, 3, 0.5)
+        assert [e for _, e in rows] == [equilibrium_residual(params, q) for q, _ in rows]
+
+    @pytest.mark.parametrize("argv", [
+        ["curve-e", "--n", "5", "--k", "3", "--p", "0.5",
+         "--q-min", "0.9", "--q-max", "0.1", "--steps", str(10**12)],
+        ["curve-f", "--n", "5", "--k", "3",
+         "--q-min", "0.2", "--q-max", "0.9", "--steps", str(10**12)],
+    ])
+    def test_invalid_long_curve_prints_nothing(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
 
     def test_numbers_round_trip_to_the_same_double(self, capsys):
         _, out, _ = run_cli(
@@ -323,30 +416,34 @@ class TestSweeps:
     def test_chunked_sweep_prints_one_whole_sweep(self, capsys, argv, sweep):
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
-        _print_curve(sweep())
+        print_curve(sweep())
         assert out == capsys.readouterr().out
 
     def test_long_range_prints_rows_before_it_is_built(self, capsys):
         # 1e12 values would not fit in memory; the first rows must come all
-        # the same. The child's address space is capped, and a timer kills
-        # it, so a sweep that builds its range fails this test instead of
-        # exhausting the host.
+        # the same.
         argv = ["sweep-n", "--k", "3", "--p", "0.5", "--n-from", "2"]
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "starsearch", *argv, "--n-to", str(10**12 + 1)],
-            stdout=subprocess.PIPE, text=True, env=CHILD_ENV,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30,) * 2),
-        )
+        head = child_head([*argv, "--n-to", str(10**12 + 1)], 4)
+        assert run_cli(capsys, *argv, "--n-to", "4") == (0, "".join(head), "")
+
+    def test_closed_pipe_exits_one_without_a_traceback(self):
+        # As `| head -2` does: the reader closes stdout after two lines.
+        proc = capped_child(["sweep-n", "--k", "3", "--p", "0.5",
+                             "--n-from", "2", "--n-to", str(10**12 + 1)])
         timer = threading.Timer(60.0, proc.kill)
         timer.start()
         try:
-            head = [proc.stdout.readline() for _ in range(4)]
+            head = [proc.stdout.readline() for _ in range(2)]
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait()
         finally:
             timer.cancel()
             proc.kill()
             proc.wait()
-            proc.stdout.close()
-        assert run_cli(capsys, *argv, "--n-to", "4") == (0, "".join(head), "")
+            proc.stderr.close()
+        assert head[0] == "n,q_bar\n"
+        assert (code, err) == (1, "")
 
     @pytest.mark.parametrize("argv,name", [
         (["sweep-n", "--k", "3", "--p", "0.6", "--n-from", "2", "--n-to", HUGE], "n"),

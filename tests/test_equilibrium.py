@@ -25,13 +25,7 @@ from starsearch import (
 from starsearch import equilibrium
 from starsearch.acceptance import _random_game
 from starsearch.equilibrium import _FREE_STEPS, _GRID_BITS, _LANE_MIN, _step
-from starsearch.model import (
-    _excess_and_landing,
-    _landing,
-    _reliability,
-    _reliability_excess,
-    _residual,
-)
+from starsearch.model import _excess, _landing, _reliability, _residual
 
 
 def scalar_q_bar(n, k, p):
@@ -59,7 +53,8 @@ def grid_bisection(n, k, p):
     lo, hi = bits(p) // CELL, bits(1.0) // CELL
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _reliability_excess(n, k, p, double(mid * CELL)) > 0.0:
+        q = double(mid * CELL)
+        if _excess(n, k, p, q, _landing(n, k, q)) > 0.0:
             hi = mid
         else:
             lo = mid
@@ -219,9 +214,9 @@ def assert_within_the_bound(n, k, p):
     assert solution.iterations <= span.bit_length() + _FREE_STEPS
     assert solution.q_bar == hi > p
     assert bits(lo) % CELL == 0 and bits(hi) - bits(lo) == CELL
-    assert _reliability_excess(n, k, p, lo) <= 0.0
+    assert _excess(n, k, p, lo, _landing(n, k, lo)) <= 0.0
     # At q = 1 the sign function is its limit (1-p)(n-1)/k > 0.
-    assert hi == 1.0 or _reliability_excess(n, k, p, hi) > 0.0
+    assert hi == 1.0 or _excess(n, k, p, hi, _landing(n, k, hi)) > 0.0
 
 
 class TestStepRule:
@@ -246,15 +241,15 @@ class TestStepRule:
         assert max(counts) <= 7
 
     def test_iterations_count_every_evaluation(self, monkeypatch):
-        # The scalar solve evaluates the sign function through
-        # _excess_and_landing, once per evaluation, the first probe included.
+        # The scalar solve evaluates the sign function through _excess, once
+        # per evaluation, the first probe included.
         calls = []
 
         def counted(*args):
             calls.append(args)
-            return _excess_and_landing(*args)
+            return _excess(*args)
 
-        monkeypatch.setattr(equilibrium, "_excess_and_landing", counted)
+        monkeypatch.setattr(equilibrium, "_excess", counted)
         for n, k, p in EDGE_TRIPLES:
             calls.clear()
             assert solve_equilibrium(GameParams(n, k, p)).iterations == len(calls)

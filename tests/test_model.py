@@ -20,7 +20,7 @@ from starsearch import (
     solve_equilibrium,
     trust_decrease_threshold,
 )
-from starsearch.model import _powers, _reliability_excess
+from starsearch.model import _excess, _landing, _powers
 
 # Strategies for valid game parameters: p drawn inside (1/(k+1), 1) with a
 # margin so hypothesis shrinking cannot land on the open boundary.
@@ -326,7 +326,7 @@ class TestEquilibriumResidual:
 
 
 def exact_excess_terms(n, k, p, q):
-    """The two products whose difference _reliability_excess evaluates
+    """The two products whose difference _excess evaluates
     divided by p q q*, and p q q*, all exact."""
     p, q = Fraction(p), Fraction(q)
     q_star = (1 - q) / k
@@ -349,12 +349,12 @@ class TestReliabilityExcess:
     @pytest.mark.parametrize("n,k,q", EXCESS_POINTS)
     def test_scalar_matches_exact_rationals(self, n, k, q):
         own, other, scale = exact_excess_terms(n, k, 0.6, q)
-        value = Fraction(_reliability_excess(n, k, 0.6, q)) * scale
+        value = Fraction(_excess(n, k, 0.6, q, _landing(n, k, q))) * scale
         assert abs(value - (own - other)) <= Fraction(1e-14) * (own + other)
 
     def test_lanes_mixing_both_forms_match_exact_rationals(self):
         n, k, q = (np.array(column, dtype=float) for column in zip(*EXCESS_POINTS))
-        values = _reliability_excess(n, k, 0.6, q, np)
+        values = _excess(n, k, 0.6, q, _landing(n, k, q, np), np)
         for (n, k, q), value in zip(EXCESS_POINTS, values.tolist()):
             own, other, scale = exact_excess_terms(n, k, 0.6, q)
             value = Fraction(value) * scale
