@@ -225,9 +225,10 @@ def criterion_8() -> Iterator[tuple[bool, str]]:
     yield ok, f"argmax(q=0.6)={high}, argmax(q=0.4)={low}, argmax(q=0.5)={matched}"
 
 
-def _sign_changes(values: tuple[float, ...]) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0.0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _sign_changes(values: np.ndarray) -> int:
+    """Sign changes along the array values, exact zeros skipped."""
+    positive = values[values != 0.0] > 0.0
+    return int(np.count_nonzero(positive[1:] != positive[:-1]))
 
 
 @_criterion("unique residual root")
@@ -240,16 +241,13 @@ def criterion_9() -> Iterator[tuple[bool, str]]:
         params = _random_game(rng, 50, 10)
         lo = 1.0 / (params.k + 1) + 1e-6
         hi = 1.0 - 1e-6
-        curve = residual_curve(params, lo, hi, 2000)
-        ys = curve.ys
+        xs, ys = np.array(residual_curve(params, lo, hi, 2000).points).T
         if _sign_changes(ys) != 1:
             bad += 1
             continue
-        crossing = next(
-            curve.xs[i]
-            for i in range(len(ys) - 1)
-            if (ys[i] > 0.0 >= ys[i + 1]) or (ys[i] <= 0.0 < ys[i + 1])
-        )
+        # The first step between a positive value and one <= 0, either way.
+        positive = ys > 0.0
+        crossing = xs[np.argmax(positive[:-1] != positive[1:])]
         spacing = (hi - lo) / 1999
         if abs(crossing - solve_equilibrium(params).q_bar) > spacing:
             bad += 1

@@ -76,9 +76,7 @@ def _print_sweep(name: str, values, fixed: int, p: float) -> None:
     sys.stdout.write(f"{name},q_bar\n")
     values = iter(values)
     while chunk := list(itertools.islice(values, _CHUNK)):
-        others = [fixed] * len(chunk)
-        ns, ks = (chunk, others) if name == "n" else (others, chunk)
-        _print_csv(None, zip(chunk, _q_bars(ns, ks, p, _ARRAY_MIN)))
+        _print_csv(None, zip(chunk, _q_bars(name, chunk, fixed, p, _ARRAY_MIN)))
 
 
 def _json_field(key: str, value) -> str:

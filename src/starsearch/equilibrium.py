@@ -102,6 +102,13 @@ class CurveSamples(namedtuple("CurveSamples", "abscissa_name ordinate_name point
         return tuple(y for _, y in self.points)
 
 
+def _prechecked(abscissa_name: str, ordinate_name: str, points) -> CurveSamples:
+    """CurveSamples without the walk, for points known to be valid: a curve's
+    grid checked on its arrays, or a sweep's distinct ints (_sorted_unique)
+    and their q_bars, grid points in (p, 1]."""
+    return tuple.__new__(CurveSamples, (abscissa_name, ordinate_name, points))
+
+
 def solve_equilibrium(params: GameParams) -> EquilibriumSolution:
     """Find the unique symmetric-equilibrium trust on a fixed grid of doubles.
 
@@ -134,12 +141,8 @@ def solve_equilibrium(params: GameParams) -> EquilibriumSolution:
     if landing is None:
         landing = _landing(n, k, hi)
     return EquilibriumSolution(
-        q_bar=hi,
-        residual=abs(_reliability(n, hi, landing) - p),
-        e_residual=abs(_residual(k, p, hi, landing)),
-        iterations=iterations,
-        bracket_lo=lo,
-        bracket_hi=hi,
+        hi, abs(_reliability(n, hi, landing) - p), abs(_residual(k, p, hi, landing)),
+        iterations, lo, hi,
     )
 
 
@@ -148,30 +151,40 @@ def _solve(n: int, k: int, p: float):
     _landing(n, k, hi), None where hi = 1.0 was never probed, for a game the
     caller has validated. With fl = 0 the first secant guess is lo, clamped
     up to jl + 1, and the first deadline exceeds the bracket's width, so that
-    probe is taken directly and the loop starts from the state _step leaves."""
+    probe is taken directly, and the loop, _probe and _step written out on
+    floats, starts from the state the step leaves."""
     jl = _index(p)
     lo = _point(jl)
     if _TOP - jl <= 1:
         return 0, lo, 1.0, None
-    deadline = _first_deadline(jl, _TOP) / 2
     jl += 1
     x = _point(jl)
     landing = _landing(n, k, x)
     fl = _excess(n, k, p, x, landing)
     if fl > 0.0:
         return 1, lo, x, landing
+    deadline = _first_deadline(jl - 1, _TOP) / 2
     jh, lo, hi, fh = _TOP, x, 1.0, (1.0 - p) * (n - 1) / p
     last, landing, iterations = -1, None, 1
     while jh - jl > 1:
-        jm = _probe(jl, jh, lo, hi, fl, fh, deadline)
-        x = _point(jm)
+        if jh - jl > deadline:
+            jm = jl + (jh - jl) // 2
+        else:
+            guess = _INT64.unpack(_DOUBLE.pack(lo + fl / (fl - fh) * (hi - lo)))[0]
+            jm = min(max(guess >> _GRID_BITS, jl + 1), jh - 1)
+        x = _DOUBLE.unpack(_INT64.pack(jm << _GRID_BITS))[0]
         probed = _landing(n, k, x)
         fm = _excess(n, k, p, x, probed)
-        jl, jh, fl, fh, last = _step(jl, jh, fl, fh, last, jm, fm)
-        if jl == jm:
-            lo = x
+        if fm > 0.0:
+            if last == 1:
+                m = 1.0 - fm / fh if fh else 0.0
+                fl = (m if m > 0.0 else 0.5) * fl or fl
+            jh, hi, fh, landing, last = jm, x, fm, probed, 1
         else:
-            hi, landing = x, probed
+            if last == -1:
+                m = 1.0 - fm / fl if fl else 0.0
+                fh = (m if m > 0.0 else 0.5) * fh or fh
+            jl, lo, fl, last = jm, x, fm, -1
         deadline /= 2
         iterations += 1
     return iterations, lo, hi, landing
@@ -201,38 +214,30 @@ def _first_deadline(jl: int, jh: int) -> float:
     return 2.0 ** ((jh - jl).bit_length() + _FREE_STEPS - 1)
 
 
-def _probe(jl, jh, lo, hi, fl, fh, deadline, xp=math):
-    """Next grid index to probe, strictly inside (jl, jh): the grid point at
-    or below the regula falsi guess between lo and hi, clamped, or the
-    midpoint where the bracket is wider than deadline. The loops start
-    deadline at _first_deadline and halve it each step, so the bracket never
-    exceeds what bisection begun _FREE_STEPS steps late would leave: at most
-    L + _FREE_STEPS probes.
+def _probe(jl, jh, lo, hi, fl, fh, deadline, xp):
+    """Next grid index to probe for each lane (xp is numpy), strictly inside
+    (jl, jh): the grid point at or below the regula falsi guess between lo
+    and hi, clamped, or the midpoint where the bracket is wider than
+    deadline. The loops start deadline at _first_deadline and halve it each
+    step, so the bracket never exceeds what bisection begun _FREE_STEPS steps
+    late would leave: at most L + _FREE_STEPS probes. _solve inlines it on floats.
     """
     midpoint, bisect = jl + (jh - jl) // 2, jh - jl > deadline
     guess = _index(lo + fl / (fl - fh) * (hi - lo), xp)
-    if xp is math:
-        return midpoint if bisect else min(max(guess, jl + 1), jh - 1)
     return xp.where(bisect, midpoint, xp.clip(guess, jl + 1, jh - 1))
 
 
-def _step(jl, jh, fl, fh, last, jm, fm, xp=math):
+def _step(jl, jh, fl, fh, last, jm, fm, xp):
     """Bracket (jl, jh), end values fl <= 0 < fh and last end moved (+1
-    upper, -1 lower, 0 none) after probing jm with value fm. Anderson-Bjorck
-    weighting: when one end moves twice in a row, the other end's value is
-    scaled by m = 1 - fm / (the moved end's old value), or by 1/2 where
-    m <= 0 or that old value is 0, so guesses cannot stall on one side.
-    Both values share a sign, so m <= 1 and no value grows; one that would
-    underflow to 0 is kept. fm / old may overflow to -inf at a subnormal
-    end, which gives 1/2.
+    upper, -1 lower, 0 none) for each lane (xp is numpy) after probing jm
+    with value fm. Anderson-Bjorck weighting: when one end moves twice in a
+    row, the other end's value is scaled by m = 1 - fm / (the moved end's
+    old value), or by 1/2 where m <= 0 or that old value is 0, so guesses
+    cannot stall on one side. Both values share a sign, so m <= 1 and no
+    value grows; one that would underflow to 0 is kept. fm / old may
+    overflow to -inf at a subnormal end, which gives 1/2. _solve inlines it on floats.
     """
     up = fm > 0.0
-    if xp is math:
-        old, other = (fh, fl) if up else (fl, fh)
-        if last == (1 if up else -1):
-            m = 1.0 - fm / old if old else 0.0
-            other = (m if m > 0.0 else 0.5) * other or other
-        return (jl, jm, other, fm, 1) if up else (jm, jh, fm, other, -1)
     old, other = xp.where(up, fh, fl), xp.where(up, fl, fh)
     with xp.errstate(divide="ignore", over="ignore", invalid="ignore"):
         m = 1.0 - fm / old
@@ -244,29 +249,33 @@ def _step(jl, jh, fl, fh, last, jm, fm, xp=math):
 
 
 def _q_bars(
-    ns: Sequence[int], ks: Sequence[int], p: float, array_min: int
+    axis: str, values: Sequence[int], fixed: int, p: float, array_min: int
 ) -> list[float]:
-    """solve_equilibrium(GameParams(n, k, p)).q_bar for each pair of ns, ks.
+    """solve_equilibrium(GameParams(n, k, p)).q_bar for each of values, the
+    n (axis "n") or the k (axis "k"), with the other one fixed.
 
     The caller validates the strictest pair, which covers the rest, so no
-    pair is checked again. Below array_min pairs each is one _solve; from
+    pair is checked again. Below array_min values each is one _solve; from
     array_min on they are lanes of one numpy solve with the same grid and
     step rule, so each ends on its scalar solve's cell wherever numpy and
     math give the sign function the same sign (see solve_equilibrium); p is
     shared, so every lane starts from the same bracket and deadline.
     Finished lanes leave the arrays.
     """
-    if len(ns) < array_min:
-        return [_solve(n, k, p)[2] for n, k in zip(ns, ks)]
+    if len(values) < array_min:
+        if axis == "n":
+            return [_solve(n, fixed, p)[2] for n in values]
+        return [_solve(fixed, k, p)[2] for k in values]
     import numpy as np
 
-    n, k = np.array(ns, dtype=float), np.array(ks, dtype=float)
+    swept, other = np.array(values, dtype=float), np.full(len(values), float(fixed))
+    n, k = (swept, other) if axis == "n" else (other, swept)
     jl, jh = _index(p), _TOP
     deadline = _first_deadline(jl, jh)
-    jl, jh = (np.full(len(ns), j, dtype=np.int64) for j in (jl, jh))
-    lo, hi = _point(jl, np), np.ones(len(ns))
-    fl, fh = np.zeros(len(ns)), (1.0 - p) * (n - 1) / p
-    q_bars, lane, last = hi.copy(), np.arange(len(ns)), np.zeros(len(ns))
+    jl, jh = (np.full(len(n), j, dtype=np.int64) for j in (jl, jh))
+    lo, hi = _point(jl, np), np.ones(len(n))
+    fl, fh = np.zeros(len(n)), (1.0 - p) * (n - 1) / p
+    q_bars, lane, last = hi.copy(), np.arange(len(n)), np.zeros(len(n))
     while True:
         done = jh - jl <= 1
         if done.any():
@@ -286,22 +295,31 @@ def _q_bars(
 
 def _sampler(name: str, q_lo: float, q_hi: float, steps: int, kernel):
     """sample(start, stop, arrays): the CurveSamples of kernel(q, xp) at
-    points start to stop - 1 of the uniform grid from q_lo to q_hi with
-    steps points, ends included, by default all of them. With arrays the
-    kernel runs once on a numpy array, else point by point with xp=math; the
-    two can differ in the last bit, as numpy's and math's exp/log1p/expm1 do."""
+    points i = start to stop - 1 of the grid q_lo (1 - i/last) + q_hi i/last,
+    last = steps - 1, by default all of them. With arrays the kernel runs
+    once on a numpy array, else point by point with xp=math; the two can
+    differ in the last bit, as numpy's and math's exp/log1p/expm1 do. numpy
+    divides i by last as Python does up to 2**53, past which Python does. An
+    array grid is checked on the arrays; only a faulty one walks CurveSamples."""
     last = steps - 1
 
     def sample(start: int = 0, stop: int = steps, arrays: bool = True) -> CurveSamples:
-        qs = [q_lo * (1.0 - i / last) + q_hi * (i / last) for i in range(start, stop)]
-        if arrays:
-            import numpy as np
+        if not arrays:
+            qs = [q_lo * (1.0 - i / last) + q_hi * (i / last) for i in range(start, stop)]
+            return CurveSamples("q", name, tuple(zip(qs, [kernel(q, math) for q in qs])))
+        import numpy as np
 
-            with np.errstate(divide="ignore"):
-                ys = kernel(np.array(qs), np).tolist()
+        if last <= 2**53:
+            t = np.arange(start, stop) / last
         else:
-            ys = [kernel(q, math) for q in qs]
-        return CurveSamples("q", name, tuple(zip(qs, ys)))
+            t = np.array([i / last for i in range(start, stop)])
+        qs = q_lo * (1.0 - t) + q_hi * t
+        with np.errstate(divide="ignore"):
+            ys = kernel(qs, np)
+        points = tuple(zip(qs.tolist(), ys.tolist()))
+        if np.isfinite(ys).all() and (qs[1:] > qs[:-1]).all():
+            return _prechecked("q", name, points)
+        return CurveSamples("q", name, points)
 
     return sample
 
@@ -363,8 +381,8 @@ def sweep_n(k: int, p: float, n_values: Iterable[int]) -> CurveSamples:
     abscissae are the requested n, as ints."""
     ns = _sorted_unique(n_values, "n_values")
     params = GameParams(ns[0], k, p)  # the smallest n is the strictest
-    q_bars = _q_bars(ns, [params.k] * len(ns), params.p, _LANE_MIN)
-    return CurveSamples("n", "q_bar", tuple(zip(ns, q_bars)))
+    q_bars = _q_bars("n", ns, params.k, params.p, _LANE_MIN)
+    return _prechecked("n", "q_bar", tuple(zip(ns, q_bars)))
 
 
 def sweep_k(n: int, p: float, k_values: Iterable[int]) -> CurveSamples:
@@ -376,5 +394,5 @@ def sweep_k(n: int, p: float, k_values: Iterable[int]) -> CurveSamples:
     """
     ks = _sorted_unique(k_values, "k_values")
     params = GameParams(n, ks[0], p)  # the smallest k is the strictest
-    q_bars = _q_bars([params.n] * len(ks), ks, params.p, _LANE_MIN)
-    return CurveSamples("k", "q_bar", tuple(zip(ks, q_bars)))
+    q_bars = _q_bars("k", ks, params.n, params.p, _LANE_MIN)
+    return _prechecked("k", "q_bar", tuple(zip(ks, q_bars)))

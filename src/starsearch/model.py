@@ -109,21 +109,21 @@ def _require_interior_q(q: float) -> None:
 
 
 def _powers(x, n, xp=math):
-    """(1-x)^n, (1-x)^(n-1) and their complements 1-(1-x)^n, 1-(1-x)^(n-1).
+    """(1-x)^(n-1) and the complements 1-(1-x)^n and 1-(1-x)^(n-1).
 
-    One log1p serves all four, on one route for any n >= 2, and they stay
+    One log1p serves all three, on one route for any n >= 2, and they stay
     accurate for x near 0 or 1. The complements come from expm1, and
     1-(1-x)^n is built as (1-(1-x)^(n-1)) + x(1-x)^(n-1), a sum of
     nonnegative terms, so no term loses digits to cancellation. With
     xp=numpy, x and n may be arrays; there log1p(-1) = -inf already gives
-    (0, 0, 1, 1) at x = 1, under np.errstate(divide="ignore").
+    (0, 1, 1) at x = 1, under np.errstate(divide="ignore").
     """
     if xp is math and x >= 1.0:
-        return 0.0, 0.0, 1.0, 1.0
+        return 0.0, 1.0, 1.0
     log_power = (n - 1) * xp.log1p(-x)
     power1 = xp.exp(log_power)
     complement1 = -xp.expm1(log_power)
-    return power1 * (1.0 - x), power1, complement1 + x * power1, complement1
+    return power1, complement1 + x * power1, complement1
 
 
 def _per_rate(complement, x, limit, xp=math):
@@ -240,8 +240,8 @@ def _landing(n, k, q, xp=math):
     chances that someone lands in a turn. Every closed form reads its powers
     from here, the only caller of _powers. q, n and k may be numpy arrays."""
     q_star = (1.0 - q) / k
-    _, a1, a_complement, a1_complement = _powers(q_star, n, xp)
-    _, b1, b_complement, b1_complement = _powers(q, n, xp)
+    a1, a_complement, a1_complement = _powers(q_star, n, xp)
+    b1, b_complement, b1_complement = _powers(q, n, xp)
     return q_star, a1, a_complement, a1_complement, b1, b_complement, b1_complement
 
 

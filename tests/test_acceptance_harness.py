@@ -1,5 +1,8 @@
 """The harness behind the acceptance criteria: registration, running, budgets."""
 
+import numpy as np
+import pytest
+
 from starsearch import acceptance
 
 
@@ -52,3 +55,25 @@ def test_budget_fails_a_slow_check_and_reports_the_total(monkeypatch):
     assert (late.number, late.name, late.passed) == (2, "over budget", False)
     assert late.detail.startswith("fine; total ")
     assert late.elapsed >= 0.0
+
+
+def _python_sign_changes(values):
+    """The count criterion 9 made before it took arrays, exact zeros skipped."""
+    signs = [1 if v > 0 else -1 for v in values if v != 0.0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+@pytest.mark.parametrize("values", [
+    (0.0, 0.0, 1.0, 0.0, -2.0, 0.0),
+    (-0.0, 3.0, 0.0, 0.0, 2.0, -1.0, 0.0, -0.0),
+    (1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0),
+    (0.0, -5e-324, 5e-324, 0.0),
+    (0.0, 0.0, 0.0),
+    (0.0,),
+    (),
+    (2.0, 1.0, 0.5),
+])
+def test_sign_changes_count_as_the_python_loop_did(values):
+    count = acceptance._sign_changes(np.array(values, dtype=float))
+    assert count == _python_sign_changes(values)
+    assert isinstance(count, int)

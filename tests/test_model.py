@@ -141,14 +141,19 @@ class TestTrustProfile:
 
 
 class TestPowOneMinus:
+    """_powers(x, n) is (1-x)^(n-1), 1-(1-x)^n and 1-(1-x)^(n-1)."""
+
     def test_small_exponent_matches_pow(self):
-        assert _powers(0.3, 5)[0] == pytest.approx(0.7**5, rel=1e-14)
+        power1, complement, complement1 = _powers(0.3, 5)
+        assert power1 == pytest.approx(0.7**4, rel=1e-14)
+        assert complement == pytest.approx(1 - 0.7**5, rel=1e-14)
+        assert complement1 == pytest.approx(1 - 0.7**4, rel=1e-14)
 
     @pytest.mark.parametrize("x,n", [(0.3, 800), (0.3, 1500), (1e-7, 5000), (0.97, 2000)])
     def test_matches_exact_rational_power(self, x, n):
-        # Exact oracle: 1 - x for the stored double x, raised to n in
+        # Exact oracle: 1 - x for the stored double x, raised to n - 1 in
         # rational arithmetic and rounded back to float at the end.
-        exact = float((1 - Fraction(x)) ** n)
+        exact = float((1 - Fraction(x)) ** (n - 1))
         if exact > 0.0:
             assert _powers(x, n)[0] == pytest.approx(exact, rel=1e-11)
         else:
@@ -158,29 +163,34 @@ class TestPowOneMinus:
     def test_powers_match_exact_rationals_at_1024_and_1025(self, n):
         # One route for every n, so no seam in accuracy between these two.
         x = 0.3
-        power, power1, _, _ = _powers(x, n)
-        for value, m in ((power, n), (power1, n - 1)):
-            exact = (1 - Fraction(x)) ** m
+        power1, complement, complement1 = _powers(x, n)
+        exact = (1 - Fraction(x)) ** (n - 1)
+        assert abs(Fraction(power1) - exact) <= Fraction(4e-14) * exact
+        for value, m in ((complement, n), (complement1, n - 1)):
+            exact = 1 - (1 - Fraction(x)) ** m
             assert abs(Fraction(value) - exact) <= Fraction(4e-14) * exact
 
     def test_complements_of_a_tiny_rate(self):
         # 1 - (1 - x)^m cancels catastrophically if formed directly.
         x, n = 1e-13, 5
-        _, _, complement, complement1 = _powers(x, n)
+        _, complement, complement1 = _powers(x, n)
         for value, m in ((complement, n), (complement1, n - 1)):
             exact = 1 - (1 - Fraction(x)) ** m
             assert abs(Fraction(value) - exact) <= Fraction(1e-15) * exact
 
     def test_tiny_rate_large_exponent(self):
-        # (1 - 1e-7) ** 10**6 tracks exp(-0.1) to the second-order term.
-        assert _powers(1e-7, 10**6)[0] == pytest.approx(math.exp(-0.1), rel=1e-6)
-        assert _powers(1e-7, 10**6)[0] < math.exp(-0.1)
+        # (1 - 1e-7) ** 10**6, one minus the complement, tracks exp(-0.1) to
+        # the second-order term, and so does the power one step short of it.
+        power1, complement, _ = _powers(1e-7, 10**6)
+        assert 1.0 - complement == pytest.approx(math.exp(-0.1), rel=1e-6)
+        assert 1.0 - complement < math.exp(-0.1)
+        assert power1 == pytest.approx(math.exp(-0.1), rel=1e-6)
 
     def test_edge_cases(self):
-        assert _powers(0.0, 10**6) == (1.0, 1.0, 0.0, 0.0)
-        assert _powers(1.0, 7) == (0.0, 0.0, 1.0, 1.0)
-        assert _powers(1.0, 10**6) == (0.0, 0.0, 1.0, 1.0)
-        assert _powers(0.5, 2) == (0.25, 0.5, 0.75, 0.5)
+        assert _powers(0.0, 10**6) == (1.0, 0.0, 0.0)
+        assert _powers(1.0, 7) == (0.0, 1.0, 1.0)
+        assert _powers(1.0, 10**6) == (0.0, 1.0, 1.0)
+        assert _powers(0.5, 2) == (0.5, 0.75, 0.5)
 
 
 def exact_payoff(n, k, p, q, r):

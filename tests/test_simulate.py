@@ -187,8 +187,8 @@ class TestEstimatePayoff:
             SimulationConfig(GameParams(n, k, p), TrustProfile(q, q), rounds=rounds, seed=31)
         )
         q_star = (1 - q) / k
-        success_right = _powers(q, n)[2]
-        success_wrong = _powers(q_star, n)[2]
+        success_right = _powers(q, n)[1]
+        success_wrong = _powers(q_star, n)[1]
         mean = p / success_right + (1 - p) / success_wrong
         second = p * (2 - success_right) / success_right**2 + (1 - p) * (
             2 - success_wrong
