@@ -7,10 +7,11 @@ spurious zero at q = 1. Curve samplers back the standard pictures: residual
 curves crossing zero at the equilibrium, the reliability map against the
 diagonal, and equilibrium-trust sweeps in the population size and the ray
 count. Curves evaluate the model's formulas once on the whole grid, and long
-sweeps solve every point at once as numpy lanes of the same kernel and step
-rule. Smaller batches run point by point on the math kernels. Which route a
-batch takes depends on its size and on the route passed to the private
-helper that runs it, never on what the process has already imported.
+sweeps solve every point at once as numpy lanes of the same kernels and
+probe rule. Smaller batches run point by point on the math kernels. Which
+route a batch takes depends on its size and on the route passed to the
+private helper that runs it, never on what the process has already
+imported.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .model import (
     _checked_make,
     _excess,
     _landing,
+    _newton,
     _reliability,
     _residual,
 )
@@ -49,7 +51,7 @@ __all__ = [
 # 2**_GRID_BITS: cells of 1,024 ulps (at most 2**-42 relative), far wider
 # than the band around the root, 1 ulp where measured, in which rounding
 # flips the sign function's sign. _FREE_STEPS is the steps a solve may
-# spend beyond plain bisection's count (see _probe).
+# spend beyond plain bisection's count (see _solve).
 _GRID_BITS = 10
 _FREE_STEPS = 12
 
@@ -116,22 +118,26 @@ def solve_equilibrium(params: GameParams) -> EquilibriumSolution:
     point j is the double whose bit pattern is j * 2**_GRID_BITS, so cells
     are 1,024 ulps wide at every scale. q_bar = bracket_hi is the first grid
     point where the sign function is positive and bracket_lo the one below
-    it, so the root lies in (lo, hi]. The sign function is _excess, the
-    reliability map's excess over p scaled to keep clear of underflow. The
-    initial bracket runs from p's grid point at or below p to 1.0, and
-    neither end's sign is evaluated: the paper's theorem
-    q_bar > p makes the excess negative at every q <= p, and towards q = 1
-    the sign function tends to (1-p)(n-1)/p > 0. So q_bar > p holds by
-    construction, and for every valid p. Only signs at grid points decide
-    the answer, so a lane of a sweep gives the same q_bar as a scalar solve
-    wherever numpy's and math's exp/log1p/expm1, which can differ in the
-    last bit, give the sign function the same sign. Regula falsi on the
-    grid, from the secant through the bracket ends (_probe, _step), takes at
-    most L + _FREE_STEPS evaluations, L the bit length of the bracket's
-    width in cells (at most 52), and typically 1. The lower end's value
-    starts at 0, so the first probe is always the grid point above p's,
-    where the answer lies for every n past a few hundred: _solve evaluates
-    it directly and enters the loop only if its sign is not positive. The
+    it, so the float sign function's root lies in (lo, hi]; in about 2 of
+    100,000 games rounding flips its sign just above the exact root, which
+    then lies one cell lower. The sign function is _excess, the reliability
+    map's excess over p scaled to keep clear of underflow. The initial
+    bracket runs from p's grid point at or below p to 1.0, and neither
+    end's sign is evaluated: the paper's theorem q_bar > p makes the excess
+    negative at every q <= p, and towards q = 1 the sign function tends to
+    (1-p)(n-1)/p > 0. So q_bar > p holds by construction, and for every
+    valid p. Only signs at grid points decide the answer, so a lane of a
+    sweep gives the same q_bar as a scalar solve wherever numpy's and
+    math's exp/log1p/expm1, which can differ in the last bit, give the sign
+    function the same sign. The first probe is the grid point above p's,
+    where the answer lies for every n past a few hundred, and the solve
+    returns at once if its sign is positive. Each later probe is the grid
+    point at or below the last probe's Newton target for F(q) = p
+    (model._newton, from that probe's powers), clamped into the bracket. A
+    deadline bisects where the bracket is wider than bisection begun
+    _FREE_STEPS probes late would leave it, so a solve takes at most
+    L + _FREE_STEPS evaluations, L the bit length of the bracket's width in
+    cells (at most 52), typically 1 and on random games at most 6. The
     diagnostics take both residuals from the powers of the probe that set
     bracket_hi, and evaluate powers afresh only where that end is 1.0 and
     was never probed.
@@ -149,43 +155,39 @@ def solve_equilibrium(params: GameParams) -> EquilibriumSolution:
 def _solve(n: int, k: int, p: float):
     """solve_equilibrium's evaluation count, final cell (lo, hi] and
     _landing(n, k, hi), None where hi = 1.0 was never probed, for a game the
-    caller has validated. With fl = 0 the first secant guess is lo, clamped
-    up to jl + 1, and the first deadline exceeds the bracket's width, so that
-    probe is taken directly, and the loop, _probe and _step written out on
-    floats, starts from the state the step leaves."""
+    caller has validated. A probe falls back to the midpoint where the
+    bracket is wider than the deadline, 2**(L + _FREE_STEPS - 2) after the
+    first probe and halved at each, or the Newton target is not in (0, 2)."""
     jl = _index(p)
     lo = _point(jl)
     if _TOP - jl <= 1:
         return 0, lo, 1.0, None
     jl += 1
     x = _point(jl)
-    landing = _landing(n, k, x)
-    fl = _excess(n, k, p, x, landing)
-    if fl > 0.0:
-        return 1, lo, x, landing
-    deadline = _first_deadline(jl - 1, _TOP) / 2
-    jh, lo, hi, fh = _TOP, x, 1.0, (1.0 - p) * (n - 1) / p
-    last, landing, iterations = -1, None, 1
+    probed = _landing(n, k, x)
+    e = _excess(n, k, p, x, probed)
+    if e > 0.0:
+        return 1, lo, x, probed
+    deadline = 1 << ((_TOP - jl + 1).bit_length() + _FREE_STEPS - 2)
+    jh, lo, hi, landing, iterations = _TOP, x, 1.0, None, 1
     while jh - jl > 1:
-        if jh - jl > deadline:
+        t = _newton(n, k, p, x, probed, e)
+        if jh - jl > deadline or not 0.0 < t < 2.0:
             jm = jl + (jh - jl) // 2
         else:
-            guess = _INT64.unpack(_DOUBLE.pack(lo + fl / (fl - fh) * (hi - lo)))[0]
-            jm = min(max(guess >> _GRID_BITS, jl + 1), jh - 1)
+            jm = _INT64.unpack(_DOUBLE.pack(t))[0] >> _GRID_BITS
+            if jm <= jl:
+                jm = jl + 1
+            elif jm >= jh:
+                jm = jh - 1
         x = _DOUBLE.unpack(_INT64.pack(jm << _GRID_BITS))[0]
         probed = _landing(n, k, x)
-        fm = _excess(n, k, p, x, probed)
-        if fm > 0.0:
-            if last == 1:
-                m = 1.0 - fm / fh if fh else 0.0
-                fl = (m if m > 0.0 else 0.5) * fl or fl
-            jh, hi, fh, landing, last = jm, x, fm, probed, 1
+        e = _excess(n, k, p, x, probed)
+        if e > 0.0:
+            jh, hi, landing = jm, x, probed
         else:
-            if last == -1:
-                m = 1.0 - fm / fl if fl else 0.0
-                fh = (m if m > 0.0 else 0.5) * fh or fh
-            jl, lo, fl, last = jm, x, fm, -1
-        deadline /= 2
+            jl, lo = jm, x
+        deadline >>= 1
         iterations += 1
     return iterations, lo, hi, landing
 
@@ -208,46 +210,6 @@ def _point(j, xp=math):
     return (j << _GRID_BITS).view(xp.float64)
 
 
-def _first_deadline(jl: int, jh: int) -> float:
-    """2**(L + _FREE_STEPS - 1), L the bit length of jh - jl (see _probe).
-    A float, as it can pass the int64 range of lane indices."""
-    return 2.0 ** ((jh - jl).bit_length() + _FREE_STEPS - 1)
-
-
-def _probe(jl, jh, lo, hi, fl, fh, deadline, xp):
-    """Next grid index to probe for each lane (xp is numpy), strictly inside
-    (jl, jh): the grid point at or below the regula falsi guess between lo
-    and hi, clamped, or the midpoint where the bracket is wider than
-    deadline. The loops start deadline at _first_deadline and halve it each
-    step, so the bracket never exceeds what bisection begun _FREE_STEPS steps
-    late would leave: at most L + _FREE_STEPS probes. _solve inlines it on floats.
-    """
-    midpoint, bisect = jl + (jh - jl) // 2, jh - jl > deadline
-    guess = _index(lo + fl / (fl - fh) * (hi - lo), xp)
-    return xp.where(bisect, midpoint, xp.clip(guess, jl + 1, jh - 1))
-
-
-def _step(jl, jh, fl, fh, last, jm, fm, xp):
-    """Bracket (jl, jh), end values fl <= 0 < fh and last end moved (+1
-    upper, -1 lower, 0 none) for each lane (xp is numpy) after probing jm
-    with value fm. Anderson-Bjorck weighting: when one end moves twice in a
-    row, the other end's value is scaled by m = 1 - fm / (the moved end's
-    old value), or by 1/2 where m <= 0 or that old value is 0, so guesses
-    cannot stall on one side. Both values share a sign, so m <= 1 and no
-    value grows; one that would underflow to 0 is kept. fm / old may
-    overflow to -inf at a subnormal end, which gives 1/2. _solve inlines it on floats.
-    """
-    up = fm > 0.0
-    old, other = xp.where(up, fh, fl), xp.where(up, fl, fh)
-    with xp.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        m = 1.0 - fm / old
-    scaled = xp.where((old != 0.0) & (m > 0.0), m, 0.5) * other
-    moved = xp.where(up, 1, -1)
-    other = xp.where((last == moved) & (scaled != 0.0), scaled, other)
-    return (xp.where(up, jl, jm), xp.where(up, jm, jh),
-            xp.where(up, other, fm), xp.where(up, fm, other), moved)
-
-
 def _q_bars(
     axis: str, values: Sequence[int], fixed: int, p: float, array_min: int
 ) -> list[float]:
@@ -257,7 +219,7 @@ def _q_bars(
     The caller validates the strictest pair, which covers the rest, so no
     pair is checked again. Below array_min values each is one _solve; from
     array_min on they are lanes of one numpy solve with the same grid and
-    step rule, so each ends on its scalar solve's cell wherever numpy and
+    probe rule, so each ends on its scalar solve's cell wherever numpy and
     math give the sign function the same sign (see solve_equilibrium); p is
     shared, so every lane starts from the same bracket and deadline.
     Finished lanes leave the arrays.
@@ -270,26 +232,30 @@ def _q_bars(
 
     swept, other = np.array(values, dtype=float), np.full(len(values), float(fixed))
     n, k = (swept, other) if axis == "n" else (other, swept)
-    jl, jh = _index(p), _TOP
-    deadline = _first_deadline(jl, jh)
-    jl, jh = (np.full(len(n), j, dtype=np.int64) for j in (jl, jh))
-    lo, hi = _point(jl, np), np.ones(len(n))
-    fl, fh = np.zeros(len(n)), (1.0 - p) * (n - 1) / p
-    q_bars, lane, last = hi.copy(), np.arange(len(n)), np.zeros(len(n))
+    jl = _index(p)
+    if _TOP - jl <= 1:
+        return [1.0] * len(values)
+    # As _solve's deadline after its first probe; a float, as it can pass int64.
+    deadline = 2.0 ** ((_TOP - jl).bit_length() + _FREE_STEPS - 2)
+    jl, jh = (np.full(len(n), j, dtype=np.int64) for j in (jl, _TOP))
+    q_bars, lane, jm = np.ones(len(n)), np.arange(len(n)), jl + 1
     while True:
-        done = jh - jl <= 1
-        if done.any():
-            q_bars[lane[done]] = hi[done]
-            if done.all():
-                return q_bars.tolist()
-            lane, n, k, jl, jh, lo, hi, fl, fh, last = (
-                a[~done] for a in (lane, n, k, jl, jh, lo, hi, fl, fh, last)
-            )
-        jm = _probe(jl, jh, lo, hi, fl, fh, deadline, np)
         x = _point(jm, np)
-        fm = _excess(n, k, p, x, _landing(n, k, x, np), np)
-        jl, jh, fl, fh, last = _step(jl, jh, fl, fh, last, jm, fm, np)
-        lo, hi = np.where(jl == jm, x, lo), np.where(jh == jm, x, hi)
+        probed = _landing(n, k, x, np)
+        e = _excess(n, k, p, x, probed, np)
+        up = e > 0.0
+        jl, jh = np.where(up, jl, jm), np.where(up, jm, jh)
+        live = jh - jl > 1
+        if not live.all():
+            q_bars[lane[~live]] = _point(jh[~live], np)
+            if not live.any():
+                return q_bars.tolist()
+            lane, n, k, jl, jh, x, e = (a[live] for a in (lane, n, k, jl, jh, x, e))
+            probed = tuple(a[live] for a in probed)
+        t, width = _newton(n, k, p, x, probed, e, np), jh - jl
+        bisect = (width > deadline) | ~((t > 0.0) & (t < 2.0))
+        guess = np.minimum(np.maximum(_index(t, np), jl + 1), jh - 1)
+        jm = np.where(bisect, jl + width // 2, guess)
         deadline /= 2
 
 
@@ -300,10 +266,13 @@ def _sampler(name: str, q_lo: float, q_hi: float, steps: int, kernel):
     once on a numpy array, else point by point with xp=math; the two can
     differ in the last bit, as numpy's and math's exp/log1p/expm1 do. numpy
     divides i by last as Python does up to 2**53, past which Python does. An
-    array grid is checked on the arrays; only a faulty one walks CurveSamples."""
+    array grid is checked on the arrays; only a faulty one walks CurveSamples.
+    More than 2**53 + 1 points raise ValueError before any is built."""
     last = steps - 1
 
     def sample(start: int = 0, stop: int = steps, arrays: bool = True) -> CurveSamples:
+        if stop - start > 2**53 + 1:
+            raise ValueError("steps must be at most 2**53 + 1")
         if not arrays:
             qs = [q_lo * (1.0 - i / last) + q_hi * (i / last) for i in range(start, stop)]
             return CurveSamples("q", name, tuple(zip(qs, [kernel(q, math) for q in qs])))

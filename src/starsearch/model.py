@@ -311,6 +311,37 @@ def _excess(n, k, p: float, q, landing, xp=math):
     return (q - p) / p * (b_complement / q) * a_ratio + (1.0 - q) * cross
 
 
+def _newton(n, k, p: float, q, landing, excess, xp=math):
+    """The Newton target for F(q) = p, F the reliability map, from
+    _landing(n, k, q) and excess = _excess(n, k, p, q, landing). With
+    u = B A1/q* and v = (1-q) A B1/(q q*), _reliability's own and other
+    over q q*, F - p = excess p/(u + v) and F' = u v s/(u + v)^2, with
+    s = d log(own/other)/dq, so the target is q - excess p (u + v)/(u v s).
+    It is NaN where u v s is not positive or a term divides by 0, and
+    neither raises nor warns. With xp=numpy, n, k, q and excess are arrays."""
+    if xp is math:
+        try:
+            scale, slope = _newton_terms(n, k, q, landing)
+        except ZeroDivisionError:
+            return math.nan
+        return q - excess * p * scale / slope if slope > 0.0 else math.nan
+    with xp.errstate(all="ignore"):
+        scale, slope = _newton_terms(n, k, q, landing)
+        return xp.where(slope > 0.0, q - excess * p * scale / slope, xp.nan)
+
+
+def _newton_terms(n, k, q, landing):
+    """u + v and u v s of _newton from the landing tuple, on floats or arrays:
+    s = 1/(q(1-q)) + n b1/B - (n-1) b1/((1-q) B1) - (n-1) a1/(k (1-q*) A1) + n a1/(k A)."""
+    q_star, a1, a_complement, a1_complement, b1, b_complement, b1_complement = landing
+    miss = 1.0 - q
+    u = b_complement * (a1_complement / q_star)
+    v = miss * (a_complement / q_star) * (b1_complement / q)
+    s = (1.0 / (q * miss) + n * b1 / b_complement - (n - 1) * b1 / (miss * b1_complement)
+         - (n - 1) * a1 / (k * (1.0 - q_star) * a1_complement) + n * a1 / (k * a_complement))
+    return u + v, u * v * s
+
+
 def trust_decrease_threshold(p: float, k: int) -> float:
     """Population size beyond which equilibrium trust strictly falls with n.
 

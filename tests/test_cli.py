@@ -78,10 +78,10 @@ def child_head(argv, lines):
 # loop, the first probe alone, none (p's grid point is the one below 1.0),
 # the point where math and numpy disagree, and k far above n.
 GOLDEN_SOLVE = [
-    (["--n", "5", "--k", "3", "--p", "0.5"],  # 7 evaluations
+    (["--n", "5", "--k", "3", "--p", "0.5"],  # 5 evaluations
      '{"q_bar": 0.53047771850663139, '
      '"residual": 2.9531932455029164e-14, '
-     '"e_residual": 5.0237591864288333e-15, "iterations": 7, '
+     '"e_residual": 5.0237591864288333e-15, "iterations": 5, '
      '"bracket_lo": 0.5304777185065177, '
      '"bracket_hi": 0.53047771850663139}\n'),
     (["--n", "5000", "--k", "4", "--p", "0.6"],  # 1 evaluation
@@ -94,16 +94,16 @@ GOLDEN_SOLVE = [
      '{"q_bar": 1, "residual": 1.1102230246251565e-16, '
      '"e_residual": 0, "iterations": 0, '
      '"bracket_lo": 0.99999999999988631, "bracket_hi": 1}\n'),
-    (["--n", "3", "--k", "9", "--p", SPLIT_P],  # 7 evaluations
+    (["--n", "3", "--k", "9", "--p", SPLIT_P],  # 6 evaluations
      '{"q_bar": 0.78327583273915025, '
      '"residual": 1.2745360322696797e-13, '
-     '"e_residual": 7.2836701947576188e-16, "iterations": 7, '
+     '"e_residual": 7.2836701947576188e-16, "iterations": 6, '
      '"bracket_lo": 0.78327583273903656, '
      '"bracket_hi": 0.78327583273915025}\n'),
-    (["--n", "2", "--k", "100000000000000000000", "--p", "1e-10"],  # 4 evaluations
+    (["--n", "2", "--k", "100000000000000000000", "--p", "1e-10"],  # 3 evaluations
      '{"q_bar": 1.000000000050103e-10, '
      '"residual": 1.0300983565699423e-23, '
-     '"e_residual": 2.0588625835345156e-73, "iterations": 4, '
+     '"e_residual": 2.0588625835345156e-73, "iterations": 3, '
      '"bracket_lo": 1.0000000000499707e-10, '
      '"bracket_hi": 1.000000000050103e-10}\n'),
 ]

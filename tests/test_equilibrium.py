@@ -1,9 +1,13 @@
-import itertools
 import math
+import os
+import resource
 import statistics
 import struct
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +29,8 @@ from starsearch import (
 )
 from starsearch import equilibrium
 from starsearch.acceptance import _random_game
-from starsearch.equilibrium import _FREE_STEPS, _GRID_BITS, _LANE_MIN, _step
-from starsearch.model import _excess, _landing, _reliability, _residual
+from starsearch.equilibrium import _FREE_STEPS, _GRID_BITS, _LANE_MIN
+from starsearch.model import _excess, _landing, _newton, _reliability, _residual
 
 
 def scalar_q_bar(n, k, p):
@@ -239,7 +243,7 @@ class TestStepRule:
             for n, k, p in scattered_games(2024, 1000)
         ]
         assert statistics.median(counts) <= 1
-        assert max(counts) <= 7
+        assert max(counts) <= 6
 
     def test_iterations_count_every_evaluation(self, monkeypatch):
         # The scalar solve evaluates the sign function through _excess, once
@@ -257,7 +261,7 @@ class TestStepRule:
         # The first probe alone, none (p's grid point is the one below 1.0),
         # and the loop.
         for (n, k, p), expected in [
-            ((5000, 4, 0.6), 1), ((2, 1, 1 - 2**-53), 0), ((5, 3, 0.5), 7),
+            ((5000, 4, 0.6), 1), ((2, 1, 1 - 2**-53), 0), ((5, 3, 0.5), 5),
         ]:
             calls.clear()
             solution = solve_equilibrium(GameParams(n, k, p))
@@ -277,38 +281,76 @@ class TestStepRule:
             assert solution.residual == abs(_reliability(n, hi, landing) - p)
             assert solution.e_residual == abs(_residual(k, p, hi, landing))
 
-    def test_anderson_bjorck_weights(self):
-        def step(jl, jh, fl, fh, last, jm, fm):
-            lane = (np.array([v]) for v in (jl, jh, fl, fh, last, jm, fm))
-            return tuple(a.item() for a in _step(*lane, np))
-
-        # The lower end moves twice: the upper value is scaled by
-        # 1 - fm/fl, or halved where that factor is not positive.
-        assert step(0, 9, -1.0, 2.0, -1, 4, -0.25) == (4, 9, -0.25, 1.5, -1)
-        assert step(0, 9, -1.0, 2.0, -1, 4, -3.0) == (4, 9, -3.0, 1.0, -1)
-        # The upper end moves twice: the lower value is scaled the same way.
-        assert step(0, 9, -2.0, 1.0, 1, 4, 0.5) == (0, 4, -1.0, 0.5, 1)
-        # An end moving once leaves the other's value alone.
-        assert step(0, 9, -2.0, 1.0, -1, 4, 0.5) == (0, 4, -2.0, 0.5, 1)
-
-    def test_lane_steps_keep_the_end_signs_at_extreme_values(self):
-        # Zero and subnormal end values, an infinite upper value and ratios
-        # fm / old that overflow: every lane keeps fl <= 0 < fh, with no
-        # RuntimeWarning.
+    def test_newton_targets_at_extreme_values(self, monkeypatch):
+        # Zero, subnormal, huge and infinite landing terms and excess values,
+        # on both routes: _newton neither raises nor warns and the routes
+        # agree, as it takes no exp or log. Solves that probe from such
+        # targets keep every probe strictly inside the bracket and end on the
+        # same cell as an unpatched solve.
         tiny = 5e-324
-        lows = (0.0, -0.0, -tiny, -0.75, -1e300)
-        highs = (tiny, 0.75, 1e300, math.inf)
-        probes = (-1e300, -0.5, -tiny, -0.0, 0.0, tiny, 0.5, 1e300)
-        cases = list(itertools.product(lows, highs, (-1, 0, 1), probes))
-        fl, fh, last, fm = (np.array(column) for column in zip(*cases))
-        jl, jh, jm = (np.full(len(cases), j) for j in (10, 20, 15))
+        values = (0.0, tiny, 1e-300, 0.5, 1.0, 1e300, math.inf)
+        excesses = (-math.inf, -1e300, -0.5, -tiny, -0.0, 0.0, tiny, 0.5, 1e300, math.inf)
+        rng = np.random.default_rng(27)
+        cases = [
+            (rng.choice([2, 5, 10**6]), rng.choice([1, 3, 1e300]),
+             rng.choice([tiny, 0.25, 0.5, 1 - 2**-53]), rng.choice(excesses),
+             tuple(rng.choice(values, 7)))
+            for _ in range(4000)
+        ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, _, fl, fh, _ = _step(jl, jh, fl, fh, last, jm, fm, np)
-        assert (fl <= 0.0).all() and (fh > 0.0).all()
+            scalar = [_newton(int(n), int(k), 0.5, float(q), tuple(map(float, landing)),
+                              float(e)) for n, k, q, e, landing in cases]
+            n, k, q, e, landing = zip(*cases)
+            lanes = _newton(np.array(n, dtype=float), np.array(k), 0.5, np.array(q),
+                            tuple(np.array(column) for column in zip(*landing)),
+                            np.array(e), np)
+        assert np.array_equal(scalar, lanes, equal_nan=True)
+        finite = sorted({t for t in scalar if t == t})
+        assert any(map(math.isnan, scalar)) and len(finite) > 5
+        # Those targets, outside (0, 2), below and above the bracket, and in it.
+        targets = finite + [math.nan, 2.0, -tiny, 0.7, 0.95]
+
+        probes = {}
+
+        def recorded(n, k, p, q, landing, xp=math):
+            value = _excess(n, k, p, q, landing, xp)
+            if xp is math:
+                probes.setdefault(n, []).append((q, value > 0.0))
+            else:
+                for lane_n, x, v in zip(n.tolist(), q.tolist(), value.tolist()):
+                    probes.setdefault(int(lane_n), []).append((x, v > 0.0))
+            return value
+
+        def extreme(n, k, p, q, landing, excess, xp=math):
+            if xp is math:
+                extreme.calls += 1
+                return targets[extreme.calls % len(targets)]
+            return np.array(targets)[(n.astype(np.int64) + len(q)) % len(targets)]
+
+        ns = range(2, 2 + _LANE_MIN)
+        expected = [solve_equilibrium(GameParams(n, 3, 0.6)) for n in ns]
+        monkeypatch.setattr(equilibrium, "_excess", recorded)
+        monkeypatch.setattr(equilibrium, "_newton", extreme)
+        extreme.calls = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = [equilibrium._solve(n, 3, 0.6)[1:3] for n in ns]
+            scalar_probes = dict(probes)
+            probes.clear()
+            lanes = sweep_n(3, 0.6, ns).ys
+        assert scalar == [(s.bracket_lo, s.bracket_hi) for s in expected]
+        assert lanes == tuple(s.q_bar for s in expected)
+        for route in (scalar_probes, probes):
+            for n in ns:
+                jl, jh = bits(0.6) // CELL, bits(1.0) // CELL
+                for x, up in route[n]:
+                    assert jl < bits(x) // CELL < jh and bits(x) % CELL == 0
+                    jl, jh = (jl, bits(x) // CELL) if up else (bits(x) // CELL, jh)
+                assert jh - jl == 1
 
     def test_scalar_and_lane_solves_probe_alike(self, monkeypatch):
-        # The scalar loop and the numpy lanes write the step rule once each.
+        # The scalar loop and the numpy lanes write the probe rule once each.
         # Each game's probes, with the sign the sign function took there, must
         # be the same on both routes up to the first probe where math and
         # numpy give it different signs; past that probe they may part.
@@ -322,6 +364,8 @@ class TestStepRule:
                 else:
                     for lane_n, x, v in zip(n.tolist(), q.tolist(), value.tolist()):
                         probes.setdefault(int(lane_n), []).append((x, v > 0.0))
+                # Past the bound a solve whose deadline broke fails, not hangs.
+                assert max(map(len, probes.values())) <= 53 + _FREE_STEPS
                 return value
 
             monkeypatch.setattr(equilibrium, "_excess", recorded)
@@ -361,20 +405,25 @@ class TestStepRule:
         n, k, p = TestLaneSolver.SPLIT
         assert splits(k, p, range(2, 42)) == [n]
 
-        # No game above takes the step rule's halving or its bisection, so two
-        # sign functions that stall regula falsi, one value tiny and the other
-        # huge, stand in for the excess; they take the same values on both
-        # routes, which must then probe alike throughout.
-        for below, above in ((-1.0, 1e3), (-1e3, 1.0)):
+        # No game above reaches the deadline's bisection, so sign functions
+        # whose values stall the Newton targets stand in for the excess: a
+        # tiny value leaves the target at the probe, so the next probe is one
+        # cell further in, and a huge one throws it out of (0, 2), to the
+        # midpoint. They take the same values on both routes, which must then
+        # probe alike throughout.
+        tiny, span = 5e-324, bits(1.0) // CELL - bits(0.5) // CELL
+        for below, above in ((-tiny, tiny), (-1e300, tiny), (-tiny, 1e300)):
             def stalling(n, k, p, q, landing, xp=math, below=below, above=above):
-                root = p + (1.0 - p) / n
+                root = p + (1.0 - p) / (n + 0.5)
                 if xp is math:
                     return below if q < root else above
                 return xp.where(q < root, below, above)
 
             record(stalling)
             assert splits(3, 0.5, range(2, 42)) == []
-            assert min(map(len, probes.values())) > 20  # the excess takes at most 7
+            # Every game spends the whole bound, which only the deadline's
+            # bisection keeps; the excess takes at most 6.
+            assert set(map(len, probes.values())) == {span.bit_length() + _FREE_STEPS}
 
     def test_exact_signs_at_the_final_bracket(self):
         # excess(lo) <= 0 < excess(hi) in exact arithmetic proves that the
@@ -514,6 +563,28 @@ class TestResidualCurve:
         # 1,000 points in a window 1e-15 wide round onto fewer doubles.
         with pytest.raises(ValueError, match="^abscissa values must be strictly increasing$"):
             residual_curve(GameParams(5, 3, 0.5), 0.5, 0.5 + 1e-15, 1000)
+
+    def test_curve_past_the_array_grid_is_refused(self):
+        # Past 2**53 + 1 steps the grid would be built in a Python list until
+        # memory ran out; under a 1 GiB address-space cap both curves refuse
+        # such steps by name instead, before building anything.
+        code = (
+            "from starsearch import GameParams, reliability_curve, residual_curve\n"
+            "for curve in (lambda: residual_curve(GameParams(5, 3, 0.5), 0.2, 0.9, 10**400),\n"
+            "              lambda: reliability_curve(5, 3, 0.3, 0.9, 2**53 + 2)):\n"
+            "    try:\n"
+            "        curve()\n"
+            "    except ValueError as error:\n"
+            "        print(error)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        child = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30,) * 2),
+        )
+        assert (child.returncode, child.stderr) == (0, "")
+        assert child.stdout == "steps must be at most 2**53 + 1\n" * 2
 
     @pytest.mark.parametrize("steps", [400, 80_000, 10**12, 2**53 + 3])
     def test_array_abscissae_are_the_formulas_bits(self, steps):
