@@ -27,17 +27,8 @@ from .model import GameParams, TrustProfile, single_searcher_optimal_trust
 __all__ = ["dispatch", "main"]
 
 _LOG_SWEEP_POINTS = 50
-# Sweeps of at least _ARRAY_MIN points and curves of at least _CURVE_MIN run
-# on numpy arrays, and smaller ones point by point on the math kernels,
-# without importing numpy. Measured on a 2-CPU Xeon host (Python 3.11,
-# numpy 2.4): a process pays 0.1-0.15 s to import numpy, and with that
-# counted, lanes overtake scalar solves at about 3,500 (consecutive k) to
-# 10,000 (consecutive n) points, and array curves, which save about 2 us a
-# point, overtake the math kernels at 75,000 to 80,000.
-_ARRAY_MIN = 1 << 13
-_CURVE_MIN = 80_000
 # Sweeps and curves compute and print this many rows at a time, never the
-# whole range or grid.
+# whole range or grid, point by point on the math kernels and without numpy.
 _CHUNK = 1 << 16
 
 # Options that several subcommands take, each declared once: flag -> (type, help).
@@ -62,11 +53,10 @@ def _print_csv(header: str | None, points) -> None:
 
 
 def _print_samples(steps: int, sample) -> None:
-    """Print a curve's sampler _CHUNK rows at a time, on the route its whole
-    steps decide, so the bytes do not depend on the chunks."""
-    arrays = steps >= _CURVE_MIN
+    """Print a curve's sampler _CHUNK rows at a time, each row the scalar
+    kernel's value at its q."""
     for start in range(0, steps, _CHUNK):
-        curve = sample(start, min(start + _CHUNK, steps), arrays)
+        curve = sample(start, min(start + _CHUNK, steps), False)
         _print_csv(f"q,{curve.ordinate_name}" if start == 0 else None, curve.points)
 
 
@@ -76,7 +66,7 @@ def _print_sweep(name: str, values, fixed: int, p: float) -> None:
     sys.stdout.write(f"{name},q_bar\n")
     values = iter(values)
     while chunk := list(itertools.islice(values, _CHUNK)):
-        _print_csv(None, zip(chunk, _q_bars(name, chunk, fixed, p, _ARRAY_MIN)))
+        _print_csv(None, zip(chunk, _q_bars(name, chunk, fixed, p, False)))
 
 
 def _json_field(key: str, value) -> str:

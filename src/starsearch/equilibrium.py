@@ -6,12 +6,12 @@ grid defines the answer uniquely, whereas the residual has a second,
 spurious zero at q = 1. Curve samplers back the standard pictures: residual
 curves crossing zero at the equilibrium, the reliability map against the
 diagonal, and equilibrium-trust sweeps in the population size and the ray
-count. Curves evaluate the model's formulas once on the whole grid, and long
-sweeps solve every point at once as numpy lanes of the same kernels and
-probe rule. Smaller batches run point by point on the math kernels. Which
-route a batch takes depends on its size and on the route passed to the
-private helper that runs it, never on what the process has already
-imported.
+count. The library's curves evaluate the model's formulas once on the whole
+grid as numpy arrays, and its sweeps of _LANE_MIN points or more solve them
+all at once as numpy lanes of the same kernels and probe rule. The private
+helpers behind both take the route as a flag, never from what the process
+has imported; smaller sweeps, and the CLI at every size, take the math
+kernels point by point, so each row equals the scalar call at its point.
 """
 
 from __future__ import annotations
@@ -56,11 +56,10 @@ _GRID_BITS = 10
 _FREE_STEPS = 12
 
 # The library's sweeps solve batches of at least this many points as numpy
-# lanes, and smaller ones as per-point scalar solves: with numpy loaded, the
-# measured crossover is about 20 points for consecutive n or k and about 40
-# for n log-spaced to 1e6. Its curves always take numpy arrays. The private
-# helpers behind both take the route as an argument: _q_bars the batch size
-# from which it uses lanes, a curve's sampler whether it uses arrays.
+# lanes, and smaller ones as per-point scalar solves: with numpy loaded,
+# lanes overtake scalar solves at about 20 to 30 consecutive n or k. n
+# log-spaced to 1e6, most of which take one probe, gain nothing as lanes up
+# to 64 points.
 _LANE_MIN = 32
 
 _DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")
@@ -211,20 +210,20 @@ def _point(j, xp=math):
 
 
 def _q_bars(
-    axis: str, values: Sequence[int], fixed: int, p: float, array_min: int
+    axis: str, values: Sequence[int], fixed: int, p: float, arrays: bool
 ) -> list[float]:
     """solve_equilibrium(GameParams(n, k, p)).q_bar for each of values, the
     n (axis "n") or the k (axis "k"), with the other one fixed.
 
     The caller validates the strictest pair, which covers the rest, so no
-    pair is checked again. Below array_min values each is one _solve; from
-    array_min on they are lanes of one numpy solve with the same grid and
-    probe rule, so each ends on its scalar solve's cell wherever numpy and
-    math give the sign function the same sign (see solve_equilibrium); p is
-    shared, so every lane starts from the same bracket and deadline.
-    Finished lanes leave the arrays.
+    pair is checked again. Without arrays each value is one _solve, so each
+    q_bar is solve_equilibrium's to the bit. With arrays they are lanes of
+    one numpy solve with the same grid and probe rule, so each ends on its
+    scalar solve's cell wherever numpy and math give the sign function the
+    same sign (see solve_equilibrium); p is shared, so every lane starts
+    from the same bracket and deadline. Finished lanes leave the arrays.
     """
-    if len(values) < array_min:
+    if not arrays:
         if axis == "n":
             return [_solve(n, fixed, p)[2] for n in values]
         return [_solve(fixed, k, p)[2] for k in values]
@@ -264,10 +263,10 @@ def _sampler(name: str, q_lo: float, q_hi: float, steps: int, kernel):
     points i = start to stop - 1 of the grid q_lo (1 - i/last) + q_hi i/last,
     last = steps - 1, by default all of them. With arrays the kernel runs
     once on a numpy array, else point by point with xp=math; the two can
-    differ in the last bit, as numpy's and math's exp/log1p/expm1 do. numpy
-    divides i by last as Python does up to 2**53, past which Python does. An
-    array grid is checked on the arrays; only a faulty one walks CurveSamples.
-    More than 2**53 + 1 points raise ValueError before any is built."""
+    differ in the last bit, as numpy's and math's exp/log1p/expm1 do. More
+    than 2**53 + 1 points raise ValueError before any is built, so on the
+    whole grids sampled on arrays numpy divides i by last as Python does. An
+    array grid is checked on the arrays; only a faulty one walks CurveSamples."""
     last = steps - 1
 
     def sample(start: int = 0, stop: int = steps, arrays: bool = True) -> CurveSamples:
@@ -278,10 +277,7 @@ def _sampler(name: str, q_lo: float, q_hi: float, steps: int, kernel):
             return CurveSamples("q", name, tuple(zip(qs, [kernel(q, math) for q in qs])))
         import numpy as np
 
-        if last <= 2**53:
-            t = np.arange(start, stop) / last
-        else:
-            t = np.array([i / last for i in range(start, stop)])
+        t = np.arange(start, stop) / last
         qs = q_lo * (1.0 - t) + q_hi * t
         with np.errstate(divide="ignore"):
             ys = kernel(qs, np)
@@ -350,7 +346,7 @@ def sweep_n(k: int, p: float, n_values: Iterable[int]) -> CurveSamples:
     abscissae are the requested n, as ints."""
     ns = _sorted_unique(n_values, "n_values")
     params = GameParams(ns[0], k, p)  # the smallest n is the strictest
-    q_bars = _q_bars("n", ns, params.k, params.p, _LANE_MIN)
+    q_bars = _q_bars("n", ns, params.k, params.p, len(ns) >= _LANE_MIN)
     return _prechecked("n", "q_bar", tuple(zip(ns, q_bars)))
 
 
@@ -363,5 +359,5 @@ def sweep_k(n: int, p: float, k_values: Iterable[int]) -> CurveSamples:
     """
     ks = _sorted_unique(k_values, "k_values")
     params = GameParams(n, ks[0], p)  # the smallest k is the strictest
-    q_bars = _q_bars("k", ks, params.n, params.p, _LANE_MIN)
+    q_bars = _q_bars("k", ks, params.n, params.p, len(ks) >= _LANE_MIN)
     return _prechecked("k", "q_bar", tuple(zip(ks, q_bars)))

@@ -55,6 +55,7 @@ run.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
@@ -354,9 +355,10 @@ def per_turn_share(focal_p: float, other_p: float, n: int) -> float:
     focal_p * (1 - (1 - other_p)**n) / (n * other_p). The Binomial(n - 1,
     other_p) chances are taken relative to the chance of m = floor((n - 1)
     other_p), within one count of the most likely m, and stepped outward by
-    the ratios of neighbouring chances until they underflow; the sum is
-    divided by the mass they cover. So no term overflows at any n, and the
-    cost grows like sqrt(n).
+    the ratios of neighbouring chances until they fall below the normal
+    doubles, as a subnormal chance times a ratio near 1 can round back to
+    itself; the sum is divided by the mass they cover. So no term overflows
+    at any n, and the cost grows like sqrt(n).
     """
     if not 0.0 <= focal_p <= 1.0:
         raise ValueError("focal_p must lie in [0, 1]")
@@ -369,14 +371,14 @@ def per_turn_share(focal_p: float, other_p: float, n: int) -> float:
     total = 1.0 / (anchor + 1)
     for m in range(anchor, others):  # chance of m + 1 from that of m
         chance *= (others - m) * other_p / ((m + 1) * miss)
-        if chance == 0.0:
+        if chance < sys.float_info.min:
             break
         mass += chance
         total += chance / (m + 2)
     chance = 1.0
     for m in range(anchor, 0, -1):  # chance of m - 1 from that of m
         chance *= m * miss / ((others - m + 1) * other_p)
-        if chance == 0.0:
+        if chance < sys.float_info.min:
             break
         mass += chance
         total += chance / m

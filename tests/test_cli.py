@@ -14,12 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from starsearch.cli import _ARRAY_MIN, _CURVE_MIN, _log_grid, _print_csv, dispatch
+from starsearch.cli import _log_grid, _print_csv, dispatch
 from starsearch.equilibrium import (
     EquilibriumSolution,
-    reliability_curve,
-    sweep_k,
-    sweep_n,
+    _reliability_sampler,
+    solve_equilibrium,
 )
 from starsearch.model import GameParams, equilibrium_residual, reliability_from_trust
 from starsearch.simulate import SimulationReport
@@ -28,6 +27,9 @@ HUGE = "1" + "0" * 400  # an integer past the largest double
 # At this reliability, math and numpy give the solver's sign function other
 # signs at (n, k) = (3, 9), so a scalar solve ends one cell above a lane.
 SPLIT_P = "0.7169403197093437"
+# At (n, k) = (4, 67214) and this reliability, a lane ends one cell below a
+# scalar solve.
+LOW_LANE_P = "0.6179153146021227"
 # Child interpreters import the package from this checkout.
 CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 SUBCOMMANDS = (
@@ -45,6 +47,16 @@ def run_cli(capsys, *args):
 def print_curve(curve):
     """Print a whole curve as the CLI prints its rows."""
     _print_csv(f"{curve.abscissa_name},{curve.ordinate_name}", curve.points)
+
+
+def print_solved_sweep(name, values, fixed, p):
+    """Print a sweep of n or k, as the CLI prints it, from one
+    solve_equilibrium per point."""
+    def q_bar(value):
+        n, k = (value, fixed) if name == "n" else (fixed, value)
+        return solve_equilibrium(GameParams(n, k, p)).q_bar
+
+    _print_csv(f"{name},q_bar", [(value, q_bar(value)) for value in values])
 
 
 def capped_child(argv):
@@ -110,8 +122,8 @@ GOLDEN_SOLVE = [
 
 
 # The SHA-256 of the exact stdout, its line count and the exact stderr of
-# the other commands on the math route: curves below _CURVE_MIN steps, and
-# the best-response scan. The curves are the rows where numpy would print
+# the other commands on the math route: curves, which take it at every size,
+# and the best-response scan. The curves are the rows where numpy would print
 # other digits (see test_in_process_dispatch_prints_what_a_child_process_prints).
 GOLDEN_MATH = [
     (["curve-e", "--n", "3", "--k", "3", "--p", "0.2777374022969217",
@@ -258,13 +270,14 @@ class TestCurves:
         assert (q, f) == (1 - 2**-53, reliability_from_trust(3, 10**308, q))
 
     def test_chunked_curve_prints_one_whole_curve(self, capsys):
-        # Four chunks, each on numpy arrays, as the whole steps decide.
+        # Four chunks, each on the math kernels, as the whole curve would be.
         code, out, err = run_cli(
             capsys, "curve-f", "--n", "26", "--k", "9",
             "--q-min", "0.100001", "--q-max", "0.999999", "--steps", "200000",
         )
         assert (code, err) == (0, "")
-        print_curve(reliability_curve(26, 9, 0.100001, 0.999999, 200000))
+        sample = _reliability_sampler(26, 9, 0.100001, 0.999999, 200000)
+        print_curve(sample(arrays=False))
         assert out == capsys.readouterr().out
 
     def test_long_curve_prints_rows_before_it_is_built(self, capsys):
@@ -406,17 +419,28 @@ class TestSweeps:
         assert (code, out, err) == (2, "", "k must be at least 1\n")
 
     @pytest.mark.parametrize("argv,sweep", [
-        # Four chunks, the last one solved as lanes.
+        # Four chunks.
         (["sweep-n", "--k", "3", "--p", "0.5", "--n-from", "2", "--n-to", "200000"],
-         lambda: sweep_n(3, 0.5, range(2, 200001))),
-        # Two chunks, the last one a single scalar solve.
+         lambda: print_solved_sweep("n", range(2, 200001), 3, 0.5)),
+        # Two chunks, the last one a single solve.
         (["sweep-k", "--n", "5", "--p", "0.6", "--k-from", "1", "--k-to", "65537"],
-         lambda: sweep_k(5, 0.6, range(1, 65538))),
+         lambda: print_solved_sweep("k", range(1, 65538), 5, 0.6)),
+        # A row is its point's solve whatever the range around it, also
+        # where a lane ends on another cell: k = 9 in 8,191 and 8,192
+        # values, and k = 67214 in a second chunk of 4,464 and of 8,193.
+        (["sweep-k", "--n", "3", "--p", SPLIT_P, "--k-from", "1", "--k-to", "8191"],
+         lambda: print_solved_sweep("k", range(1, 8192), 3, float(SPLIT_P))),
+        (["sweep-k", "--n", "3", "--p", SPLIT_P, "--k-from", "1", "--k-to", "8192"],
+         lambda: print_solved_sweep("k", range(1, 8193), 3, float(SPLIT_P))),
+        (["sweep-k", "--n", "4", "--p", LOW_LANE_P, "--k-from", "1", "--k-to", "70000"],
+         lambda: print_solved_sweep("k", range(1, 70001), 4, float(LOW_LANE_P))),
+        (["sweep-k", "--n", "4", "--p", LOW_LANE_P, "--k-from", "1", "--k-to", "73729"],
+         lambda: print_solved_sweep("k", range(1, 73730), 4, float(LOW_LANE_P))),
     ])
     def test_chunked_sweep_prints_one_whole_sweep(self, capsys, argv, sweep):
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
-        print_curve(sweep())
+        sweep()
         assert out == capsys.readouterr().out
 
     def test_long_range_prints_rows_before_it_is_built(self, capsys):
@@ -703,9 +727,9 @@ def loaded_after(argvs: list[list[str]], modules: list[str]) -> list[list[str]]:
 
 
 def test_scalar_subcommands_leave_numpy_unloaded():
-    # Only sweeps of _ARRAY_MIN points or more, curves of _CURVE_MIN, and
-    # simulate import numpy; smaller sweeps solve point by point, smaller
-    # curves take the math kernels, and a best-response scan is scalar.
+    # Sweeps solve point by point and curves take the math kernels at every
+    # size, and a best-response scan is scalar, so of these subcommands only
+    # simulate and verify import numpy.
     argvs = [
         ["solve", "--n", "5", "--k", "3", "--p", "0.5"],
         ["single-searcher", "--p", "0.9", "--k", "2"],
@@ -718,29 +742,15 @@ def test_scalar_subcommands_leave_numpy_unloaded():
         ["sweep-n", "--k", "3", "--p", "0.5", "--n-from", "100", "--n-to", "100000",
          "--log"],
         ["sweep-k", "--n", "5", "--p", "0.75", "--k-from", "1", "--k-to", "40"],
+        ["sweep-k", "--n", "5", "--p", "0.75", "--k-from", "1", "--k-to", "10000"],
+        ["curve-f", "--n", "5", "--k", "3", "--q-min", "0.26", "--q-max", "0.99",
+         "--steps", "100000"],
     ]
-    assert loaded_after(argvs, ["numpy"]) == [[]] * 9
+    assert loaded_after(argvs, ["numpy"]) == [[]] * 11
     # The --log sweep solves 50 points.
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert dispatch(argvs[6]) == 0
     assert len(out.getvalue().splitlines()) == 51
-
-
-@pytest.mark.parametrize("argv,first,size", [
-    (["sweep-k", "--n", "5", "--p", "0.75", "--k-from", "1", "--k-to"], 1,
-     _ARRAY_MIN),
-    (["sweep-n", "--k", "3", "--p", "0.5", "--n-from", "2", "--n-to"], 2,
-     _ARRAY_MIN),
-    (["curve-e", "--n", "5", "--k", "3", "--p", "0.5", "--q-min", "0.34",
-      "--q-max", "0.8", "--steps"], 1, _CURVE_MIN),
-    (["curve-f", "--n", "5", "--k", "3", "--q-min", "0.26", "--q-max", "0.99",
-      "--steps"], 1, _CURVE_MIN),
-], ids=["sweep-k", "sweep-n", "curve-e", "curve-f"])
-def test_a_batch_at_the_threshold_loads_numpy(argv, first, size):
-    # A batch of size - 1 points runs on math and one of size points on
-    # numpy arrays: _ARRAY_MIN for sweeps, _CURVE_MIN for curves.
-    below, at = (argv + [str(first + m - 1)] for m in (size - 1, size))
-    assert loaded_after([below, at], ["numpy"]) == [[], [], ["numpy"]]
 
 
 def test_in_process_dispatch_prints_what_a_child_process_prints():

@@ -90,6 +90,9 @@ def assert_exact_bracket(n, k, p, solution):
     assert exact_sign_function(n, k, p, solution.bracket_hi) > 0
 
 
+ONE_CELL_HIGH = pytest.mark.xfail(strict=True, reason="ends one cell above the exact root's")
+
+
 def sign_changes(values):
     signs = [1 if v > 0 else -1 for v in values if v != 0.0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -586,10 +589,10 @@ class TestResidualCurve:
         assert (child.returncode, child.stderr) == (0, "")
         assert child.stdout == "steps must be at most 2**53 + 1\n" * 2
 
-    @pytest.mark.parametrize("steps", [400, 80_000, 10**12, 2**53 + 3])
+    @pytest.mark.parametrize("steps", [400, 80_000, 10**12])
     def test_array_abscissae_are_the_formulas_bits(self, steps):
         # The grid is q_lo (1 - i/last) + q_hi (i/last), i/last rounded once,
-        # at the first and the last points, also where last passes 2**53.
+        # at the first and the last points.
         q_lo, q_hi, last = 0.0, 1.0, steps - 1
         sample = equilibrium._residual_sampler(GameParams(5, 3, 0.5), q_lo, q_hi, steps)
         for start in (0, steps - 8):
@@ -792,6 +795,30 @@ class TestLaneSolver:
     def test_scalar_solve_equals_the_lanes_where_the_kernels_disagree(self):
         n, k, p = self.SPLIT
         assert scalar_q_bar(n, k, p) == sweep_k(n, p, range(1, 41)).ys[k - 1]
+
+    # Games where the float sign function is <= 0 at the scalar solve's
+    # bracket_lo, though the exact excess there is positive, so that solve
+    # ends one cell above the exact root's; some lanes end there too.
+    @pytest.mark.parametrize("n,k,p", [
+        pytest.param(32, 168626, 0.0512806421024794, marks=ONE_CELL_HIGH),
+        pytest.param(5, 1163, 0.3261288008123302, marks=ONE_CELL_HIGH),
+        pytest.param(3, 2, 0.6960085208425162, marks=ONE_CELL_HIGH),
+        pytest.param(4, 67214, 0.6179153146021227, marks=ONE_CELL_HIGH),
+    ])
+    def test_scalar_solve_ends_on_the_exact_roots_cell(self, n, k, p):
+        assert_exact_bracket(n, k, p, solve_equilibrium(GameParams(n, k, p)))
+
+    @pytest.mark.parametrize("n,k,p", [
+        pytest.param(32, 168626, 0.0512806421024794, marks=ONE_CELL_HIGH),
+        (5, 1163, 0.3261288008123302),
+        pytest.param(3, 2, 0.6960085208425162, marks=ONE_CELL_HIGH),
+        (4, 67214, 0.6179153146021227),
+    ])
+    def test_lane_ends_on_the_exact_roots_cell(self, n, k, p):
+        # A lane of a sweep_k that starts at k.
+        q_bar = sweep_k(n, p, range(k, k + _LANE_MIN)).ys[0]
+        assert exact_sign_function(n, k, p, q_bar) > 0
+        assert exact_sign_function(n, k, p, double(bits(q_bar) - CELL)) <= 0
 
     def test_p_one_ulp_above_the_first_floor(self):
         # Every lane shares the bracket that starts at p, even the k = 1 lane

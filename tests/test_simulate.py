@@ -463,6 +463,17 @@ class TestPerTurnShare:
             closed = r * (1 - (1 - q) ** n) / (n * q)
             assert per_turn_share(r, q, n) == pytest.approx(closed, abs=1e-12)
 
+    def test_large_population_stops_where_the_chances_go_subnormal(self):
+        # A subnormal chance times a ratio near 1 rounds back to itself, so
+        # a walk that waited for 0.0 took O(n) steps: 10 s at n = 1e8.
+        n, q, r = 10**8, 0.5, 0.5
+        start = time.perf_counter()
+        share = per_turn_share(r, q, n)
+        elapsed = time.perf_counter() - start
+        assert share == pytest.approx(r * -math.expm1(n * math.log1p(-q)) / (n * q),
+                                      rel=1e-12)
+        assert elapsed < 2.0
+
     def test_certain_co_arrivals(self):
         # Nobody else lands, or everybody does.
         assert per_turn_share(0.7, 0.0, 5) == 0.7
