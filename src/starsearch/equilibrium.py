@@ -118,20 +118,20 @@ def solve_equilibrium(params: GameParams) -> EquilibriumSolution:
     are 1,024 ulps wide at every scale. q_bar = bracket_hi is the first grid
     point where the sign function is positive and bracket_lo the one below
     it, so the float sign function's root lies in (lo, hi]; in about 2 of
-    100,000 games rounding flips its sign just above the exact root, which
-    then lies one cell lower. The sign function is _excess, the reliability
-    map's excess over p scaled to keep clear of underflow. The initial
-    bracket runs from p's grid point at or below p to 1.0, and neither
-    end's sign is evaluated: the paper's theorem q_bar > p makes the excess
-    negative at every q <= p, and towards q = 1 the sign function tends to
-    (1-p)(n-1)/p > 0. So q_bar > p holds by construction, and for every
-    valid p. Only signs at grid points decide the answer, so a lane of a
-    sweep gives the same q_bar as a scalar solve wherever numpy's and
-    math's exp/log1p/expm1, which can differ in the last bit, give the sign
-    function the same sign. The first probe is the grid point above p's,
-    where the answer lies for every n past a few hundred, and the solve
-    returns at once if its sign is positive. Each later probe is the grid
-    point at or below the last probe's Newton target for F(q) = p
+    100,000 games rounding flips its sign next to the exact root, which then
+    lies one cell lower, or one cell higher as at (5, 55077, 0.6). The sign
+    function is _excess, the reliability map's excess over p scaled to keep
+    clear of underflow. The initial bracket runs from p's grid point at or
+    below p to 1.0, and neither end's sign is evaluated: the paper's theorem
+    q_bar > p makes the excess negative at every q <= p, and towards q = 1
+    the sign function tends to (1-p)(n-1)/p > 0. So q_bar > p holds by
+    construction, and for every valid p. Only signs at grid points decide the
+    answer, so a lane of a sweep gives the same q_bar as a scalar solve
+    wherever numpy's and math's exp/log1p/expm1, which can differ in the last
+    bit, give the sign function the same sign. The first probe is the grid
+    point above p's, where the answer lies for every n past a few hundred,
+    and the solve returns at once if its sign is positive. Each later probe
+    is the grid point at or below the last probe's Newton target for F(q) = p
     (model._newton, from that probe's powers), clamped into the bracket. A
     deadline bisects where the bracket is wider than bisection begun
     _FREE_STEPS probes late would leave it, so a solve takes at most
@@ -238,24 +238,25 @@ def _q_bars(
     deadline = 2.0 ** ((_TOP - jl).bit_length() + _FREE_STEPS - 2)
     jl, jh = (np.full(len(n), j, dtype=np.int64) for j in (jl, _TOP))
     q_bars, lane, jm = np.ones(len(n)), np.arange(len(n)), jl + 1
-    while True:
-        x = _point(jm, np)
-        probed = _landing(n, k, x, np)
-        e = _excess(n, k, p, x, probed, np)
-        up = e > 0.0
-        jl, jh = np.where(up, jl, jm), np.where(up, jm, jh)
-        live = jh - jl > 1
-        if not live.all():
-            q_bars[lane[~live]] = _point(jh[~live], np)
-            if not live.any():
-                return q_bars.tolist()
-            lane, n, k, jl, jh, x, e = (a[live] for a in (lane, n, k, jl, jh, x, e))
-            probed = tuple(a[live] for a in probed)
-        t, width = _newton(n, k, p, x, probed, e, np), jh - jl
-        bisect = (width > deadline) | ~((t > 0.0) & (t < 2.0))
-        guess = np.minimum(np.maximum(_index(t, np), jl + 1), jh - 1)
-        jm = np.where(bisect, jl + width // 2, guess)
-        deadline /= 2
+    with np.errstate(over="ignore"):  # (n - 1) log1p(-x) at n near the largest double
+        while True:
+            x = _point(jm, np)
+            probed = _landing(n, k, x, np)
+            e = _excess(n, k, p, x, probed, np)
+            up = e > 0.0
+            jl, jh = np.where(up, jl, jm), np.where(up, jm, jh)
+            live = jh - jl > 1
+            if not live.all():
+                q_bars[lane[~live]] = _point(jh[~live], np)
+                if not live.any():
+                    return q_bars.tolist()
+                lane, n, k, jl, jh, x, e = (a[live] for a in (lane, n, k, jl, jh, x, e))
+                probed = tuple(a[live] for a in probed)
+            t, width = _newton(n, k, p, x, probed, e, np), jh - jl
+            bisect = (width > deadline) | ~((t > 0.0) & (t < 2.0))
+            guess = np.minimum(np.maximum(_index(t, np), jl + 1), jh - 1)
+            jm = np.where(bisect, jl + width // 2, guess)
+            deadline /= 2
 
 
 def _sampler(name: str, q_lo: float, q_hi: float, steps: int, kernel):
@@ -279,7 +280,7 @@ def _sampler(name: str, q_lo: float, q_hi: float, steps: int, kernel):
 
         t = np.arange(start, stop) / last
         qs = q_lo * (1.0 - t) + q_hi * t
-        with np.errstate(divide="ignore"):
+        with np.errstate(all="ignore"):
             ys = kernel(qs, np)
         points = tuple(zip(qs.tolist(), ys.tolist()))
         if np.isfinite(ys).all() and (qs[1:] > qs[:-1]).all():

@@ -130,7 +130,7 @@ def _per_rate(complement, x, limit, xp=math):
     """complement / x, or its limit where the rate x is 0."""
     if xp is math:
         return complement / x if x else float(limit)
-    return xp.where(x > 0.0, complement / xp.where(x > 0.0, x, 1.0), float(limit))
+    return xp.where(x > 0.0, complement / x, float(limit))
 
 
 def _checked_make(cls, values):
@@ -273,18 +273,15 @@ def reliability_from_trust(n: int, k: int, q: float) -> float:
 def _reliability(n, q, landing, xp=math):
     """reliability_from_trust without validation, from _landing(n, k, q).
 
-    own / (own + other), with own = q B A1 and other = (1-q) A B1 as in
-    _excess, both divided by q q q* so that neither underflows
-    where q and q* are near 1e-300. Where q* is 0, as (1-q)/k is when k is
-    huge and q near 1, and at q = 1, A/q* and A1/q* take their limits n and
-    n - 1, so q = 1 gives the limit 1. With xp=numpy, q is an array.
+    1 / (1 + r), r = other/own = (1-q) (A/A1) (B1/q/B) for own = q B A1 and
+    other = (1-q) A B1 as in _excess. A/A1 lies in (1, n/(n-1)] and B1/B in
+    (0, 1], and the one large factor, 1/q, multiplies no other large term, so
+    r overflows nowhere in the domain. Where q* is 0 (k huge and q near 1, or
+    q = 1), A/A1 takes its limit n/(n-1). With xp=numpy, q is an array.
     """
-    q_star, _, a_complement, a1_complement, _, b_complement, b1_complement = landing
-    a_ratio = _per_rate(a_complement, q_star, n, xp)
-    a1_ratio = _per_rate(a1_complement, q_star, n - 1.0, xp)
-    own = b_complement / q * a1_ratio
-    other = (1.0 - q) / q * a_ratio * (b1_complement / q)
-    return own / (own + other)
+    _, _, a_complement, a1_complement, _, b_complement, b1_complement = landing
+    ratio = _per_rate(a_complement, a1_complement, n / (n - 1.0), xp)
+    return 1.0 / (1.0 + (1.0 - q) * ratio * (b1_complement / q / b_complement))
 
 
 def _excess(n, k, p: float, q, landing, xp=math):
@@ -314,9 +311,9 @@ def _excess(n, k, p: float, q, landing, xp=math):
 def _newton(n, k, p: float, q, landing, excess, xp=math):
     """The Newton target for F(q) = p, F the reliability map, from
     _landing(n, k, q) and excess = _excess(n, k, p, q, landing). With
-    u = B A1/q* and v = (1-q) A B1/(q q*), _reliability's own and other
-    over q q*, F - p = excess p/(u + v) and F' = u v s/(u + v)^2, with
-    s = d log(own/other)/dq, so the target is q - excess p (u + v)/(u v s).
+    u = B A1/q* and v = (1-q) A B1/(q q*), so that _reliability's ratio r
+    is v/u, F - p = excess p/(u + v) and F' = u v s/(u + v)^2, with
+    s = -d log(r)/dq, so the target is q - excess p (u + v)/(u v s).
     It is NaN where u v s is not positive or a term divides by 0, and
     neither raises nor warns. With xp=numpy, n, k, q and excess are arrays."""
     if xp is math:

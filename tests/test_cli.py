@@ -92,7 +92,7 @@ def child_head(argv, lines):
 GOLDEN_SOLVE = [
     (["--n", "5", "--k", "3", "--p", "0.5"],  # 5 evaluations
      '{"q_bar": 0.53047771850663139, '
-     '"residual": 2.9531932455029164e-14, '
+     '"residual": 2.9420910152566648e-14, '
      '"e_residual": 5.0237591864288333e-15, "iterations": 5, '
      '"bracket_lo": 0.5304777185065177, '
      '"bracket_hi": 0.53047771850663139}\n'),
@@ -131,7 +131,7 @@ GOLDEN_MATH = [
      "9dfc65580dd16d869205f2deda1d3b1d1ef473b704d564751ad6a3060a986abd", 52, ""),
     (["curve-f", "--n", "26", "--k", "9",
       "--q-min", "0.100001", "--q-max", "0.999999", "--steps", "51"],
-     "9980466cb8e41b830bc032a4a989c3ec0a620dda309cd991db05ff5269d642a6", 52, ""),
+     "584299010d77201a1c8959440fb28cdd3798634e0a946aa5e456ba96944223a1", 52, ""),
     (["best-response", "--n", "5", "--k", "3", "--p", "0.5", "--q", "0.53"],
      "37ba37cbb34c1839eb03b61e06a46261995e4ac73e62257c72ee1c2ee53e4037", 2002,
      "argmax_r=0.53249999999999997 max_payoff=0.20000041201638041\n"),

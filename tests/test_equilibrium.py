@@ -91,6 +91,7 @@ def assert_exact_bracket(n, k, p, solution):
 
 
 ONE_CELL_HIGH = pytest.mark.xfail(strict=True, reason="ends one cell above the exact root's")
+ONE_CELL_LOW = pytest.mark.xfail(strict=True, reason="ends one cell below the exact root's")
 
 
 def sign_changes(values):
@@ -637,6 +638,16 @@ class TestReliabilityCurve:
         with pytest.raises(ValueError, match=r"need 1/\(k\+1\) < q_lo"):
             reliability_curve(5, k, q_lo, 0.5, 3)
 
+    def test_increasing_where_a_product_of_its_terms_overflows(self):
+        # n = 1e6 and k = 1e300 next to the floor, where (1-q)/q A/q* B1/q
+        # passes the largest double.
+        k = 10**300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = reliability_curve(10**6, k, 1e-300, 0.5, 50)
+        assert Fraction(curve.ys[0]) > Fraction(1, k + 1)
+        assert all(b > a for a, b in zip(curve.ys, curve.ys[1:]))
+
     def test_doubles_next_to_the_open_ends(self):
         for n, k in ((2, 1), (5, 3), (10**6, 10)):
             lo = math.nextafter(1 / (k + 1), 1.0)
@@ -711,6 +722,12 @@ class TestSweeps:
     def test_sweep_k_rejects_invalid_entry(self):
         with pytest.raises(ValueError, match=r"p must exceed 1/\(k\+1\)"):
             sweep_k(5, 0.3, [1])
+
+    def test_non_integer_entries_rejected(self):
+        with pytest.raises(ValueError, match="^n_values must be an integer$"):
+            sweep_n(3, 0.5, [2, 2.5])
+        with pytest.raises(ValueError, match="^k_values must be an integer$"):
+            sweep_k(5, 0.6, [1, 2.0])
 
     def test_entries_beyond_the_doubles_rejected(self):
         with pytest.raises(ValueError, match="^n_values must fit in a double$"):
@@ -798,12 +815,17 @@ class TestLaneSolver:
 
     # Games where the float sign function is <= 0 at the scalar solve's
     # bracket_lo, though the exact excess there is positive, so that solve
-    # ends one cell above the exact root's; some lanes end there too.
+    # ends one cell above the exact root's; some lanes end there too. At
+    # (5, 55077, 0.6) the float sign is positive at the scalar solve's
+    # bracket_hi, where the exact one is not, so it ends one cell below;
+    # at (4, 12327, ...) only the lane is off, one cell high.
     @pytest.mark.parametrize("n,k,p", [
         pytest.param(32, 168626, 0.0512806421024794, marks=ONE_CELL_HIGH),
         pytest.param(5, 1163, 0.3261288008123302, marks=ONE_CELL_HIGH),
         pytest.param(3, 2, 0.6960085208425162, marks=ONE_CELL_HIGH),
         pytest.param(4, 67214, 0.6179153146021227, marks=ONE_CELL_HIGH),
+        pytest.param(5, 55077, 0.6, marks=ONE_CELL_LOW),
+        (4, 12327, 0.6179153146021227),
     ])
     def test_scalar_solve_ends_on_the_exact_roots_cell(self, n, k, p):
         assert_exact_bracket(n, k, p, solve_equilibrium(GameParams(n, k, p)))
@@ -813,12 +835,37 @@ class TestLaneSolver:
         (5, 1163, 0.3261288008123302),
         pytest.param(3, 2, 0.6960085208425162, marks=ONE_CELL_HIGH),
         (4, 67214, 0.6179153146021227),
+        (5, 55077, 0.6),
+        pytest.param(4, 12327, 0.6179153146021227, marks=ONE_CELL_HIGH),
     ])
     def test_lane_ends_on_the_exact_roots_cell(self, n, k, p):
         # A lane of a sweep_k that starts at k.
         q_bar = sweep_k(n, p, range(k, k + _LANE_MIN)).ys[0]
         assert exact_sign_function(n, k, p, q_bar) > 0
         assert exact_sign_function(n, k, p, double(bits(q_bar) - CELL)) <= 0
+
+    def test_p_in_the_top_cell_gives_one_in_every_lane(self):
+        # p's grid point is the one below 1.0, so no probe is left.
+        ns = range(2, 2 + _LANE_MIN)
+        curve = sweep_n(3, 1 - 2**-44, ns)
+        assert curve.ys == (1.0,) * _LANE_MIN
+        assert curve.ys == tuple(scalar_q_bar(n, 3, 1 - 2**-44) for n in ns)
+
+    def test_arrays_next_to_the_largest_double_are_silent(self):
+        # (n - 1) log1p(-x) overflows to -inf at n near the largest double,
+        # which gives the powers their limits; numpy must not warn on it.
+        big = int(sys.float_info.max)
+        params = GameParams(big, 3, 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lanes = sweep_n(3, 0.99, range(big - 40, big))
+            residuals = residual_curve(params, 0.0, 1.0, 50)
+            reliabilities = reliability_curve(big, 3, 0.26, 0.99, 50)
+        assert lanes.ys == tuple(scalar_q_bar(n, 3, 0.99) for n in lanes.xs)
+        assert residuals.ys == tuple(equilibrium_residual(params, q) for q in residuals.xs)
+        assert reliabilities.ys == tuple(
+            reliability_from_trust(big, 3, q) for q in reliabilities.xs
+        )
 
     def test_p_one_ulp_above_the_first_floor(self):
         # Every lane shares the bracket that starts at p, even the k = 1 lane
@@ -856,6 +903,14 @@ class TestLargeRayCount:
             solution = solve_equilibrium(GameParams(n, k, p))
             assert_exact_bracket(n, k, p, solution)
             assert solution.residual <= 1e-12 * p
+
+    @pytest.mark.parametrize("n", [10**5, 10**6])
+    def test_residual_at_a_huge_population_next_to_a_tiny_floor(self, n):
+        # The product (1-q)/q A/q* B1/q of the reliability map's terms
+        # passes the largest double here; the residual |F(q_bar) - p| keeps
+        # its digits all the same.
+        solution = solve_equilibrium(GameParams(n, 10**300, 2e-300))
+        assert solution.residual <= 1e-12 * 2e-300
 
     def test_sweep_k_near_a_billion_matches_scalar_solves(self):
         ks = range(10**9, 10**9 + 40)

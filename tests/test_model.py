@@ -371,6 +371,27 @@ class TestReliabilityExcess:
             assert abs(value - (own - other)) <= Fraction(1e-14) * (own + other)
 
 
+def decimal_reliability(n, k, q):
+    """q B A1 / (q B A1 + (1-q) A B1) in 80-digit decimals, whose exponents
+    reach far past the doubles', with 1 - (1-x)**m from a log and an exp."""
+    with decimal.localcontext() as context:
+        context.prec = 80
+        tiny = decimal.Decimal("1e-30")
+
+        def complement(x, m):  # 1 - (1 - x)**m, by series where x or m x is tiny
+            y = m * (-x - x * x / 2 if x < tiny else (1 - x).ln())
+            return -y - y * y / 2 if -y < tiny else 1 - y.exp()
+
+        q = decimal.Decimal(q)
+        q_star = (1 - q) / k
+        own = q * complement(q, n) * complement(q_star, n - 1)
+        other = (1 - q) * complement(q_star, n) * complement(q, n - 1)
+        return own / (own + other)
+
+
+DOUBLE_MAX = int(sys.float_info.max)
+
+
 class TestReliabilityFromTrust:
     @pytest.mark.parametrize("n,k,q", [(2, 10**300, 3e-300), (5, 10**150, 1.5e-150)])
     def test_matches_exact_rationals_where_its_terms_underflow(self, n, k, q):
@@ -381,9 +402,24 @@ class TestReliabilityFromTrust:
         value = reliability_from_trust(n, k, q)
         assert abs(Fraction(value) - exact) <= Fraction(1e-15) * exact
 
+    @pytest.mark.parametrize("n,k,q", [
+        (10**6, 10**300, 1e-300), (2, DOUBLE_MAX, 6e-309),
+        (DOUBLE_MAX, DOUBLE_MAX, 0.5), (10**160, 10**300, 1.5e-300),
+        (3, 17 * 10**307, 1 - 2**-53),
+    ], ids=["n1e6-k1e300", "n2-kmax", "nmax-kmax", "n1e160-k1e300", "q-star-zero"])
+    def test_matches_decimals_where_a_product_of_its_terms_overflows(self, n, k, q):
+        # The product (1-q)/q A/q* B1/q of the map's terms, up to about
+        # k n**2, passes the largest double at the first four games, and q*
+        # rounds to 0 at the last; the map's value lies inside (1/(k+1), 1)
+        # all the same.
+        value = reliability_from_trust(n, k, q)
+        assert Fraction(1, k + 1) < Fraction(value) < 1
+        exact = decimal_reliability(n, k, q)
+        assert abs(decimal.Decimal(value) - exact) <= decimal.Decimal(1e-16) * exact
+
     def test_off_ray_rate_rounding_to_zero(self):
         # At k = 1e308 and q = 1 - 2**-53, (1 - q)/k rounds to 0.0, where
-        # A/q* and A1/q* take their limits n and n - 1.
+        # A/A1 takes its limit n/(n - 1).
         n, k, q = 3, 10**308, 1 - 2**-53
         assert (1 - q) / k == 0.0
         own, other, _ = exact_excess_terms(n, k, 0.5, q)

@@ -27,7 +27,7 @@ SOLUTION = solve_equilibrium(PARAMS)
 SCAN = BestResponseScan(0.5, ((0.0, 0.125), (1.0, 0.25)), 1.0, 0.25)
 CONFIG = SimulationConfig(PARAMS, TrustProfile(0.6, 0.7), rounds=10, seed=1)
 SOLUTION_REPR = (
-    "EquilibriumSolution(q_bar=0.5304777185066314, residual=2.9531932455029164e-14, "
+    "EquilibriumSolution(q_bar=0.5304777185066314, residual=2.942091015256665e-14, "
     "e_residual=5.023759186428833e-15, iterations=5, bracket_lo=0.5304777185065177, "
     "bracket_hi=0.5304777185066314)"
 )
