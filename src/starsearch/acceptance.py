@@ -25,7 +25,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .equilibrium import residual_curve, solve_equilibrium, sweep_k, sweep_n
+from .equilibrium import _residual_sampler, solve_equilibrium, sweep_k, sweep_n
 from .model import (
     GameParams,
     TrustProfile,
@@ -241,7 +241,7 @@ def criterion_9() -> Iterator[tuple[bool, str]]:
         params = _random_game(rng, 50, 10)
         lo = 1.0 / (params.k + 1) + 1e-6
         hi = 1.0 - 1e-6
-        xs, ys = np.array(residual_curve(params, lo, hi, 2000).points).T
+        xs, ys = _residual_sampler(params, lo, hi, 2000).grid()
         if _sign_changes(ys) != 1:
             bad += 1
             continue
@@ -254,30 +254,30 @@ def criterion_9() -> Iterator[tuple[bool, str]]:
     yield bad == 0, f"{bad} of {count} grids failed the single-crossing check"
 
 
-def _cli_bytes(args: list[str]) -> bytes:
+@_criterion("byte determinism")
+def criterion_10() -> Iterator[tuple[bool, str]]:
+    """Repeated CLI invocations produce byte-identical output."""
     # The child runs this package's CLI, whether or not it is on the inherited
     # PYTHONPATH (as under pytest's pythonpath setting).
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = (package_root, os.environ.get("PYTHONPATH"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "starsearch", *args],
-        capture_output=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
-    )
-    return proc.stdout
-
-
-@_criterion("byte determinism")
-def criterion_10() -> Iterator[tuple[bool, str]]:
-    """Repeated CLI invocations produce byte-identical output."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     simulate_args = [
         "simulate", "--n", "2", "--k", "1", "--p", "0.6667",
         "--q", "0.7", "--rounds", "100000", "--seed", "42",
     ]
     solve_args = ["solve", "--n", "5", "--k", "3", "--p", "0.5"]
-    sim_same = _cli_bytes(simulate_args) == _cli_bytes(simulate_args)
-    solve_same = _cli_bytes(solve_args) == _cli_bytes(solve_args)
+    outputs = []
+    for args in (simulate_args, simulate_args, solve_args, solve_args):
+        proc = subprocess.run(
+            [sys.executable, "-m", "starsearch", *args], capture_output=True, env=env
+        )
+        if proc.returncode:  # a failed check, named with its last stderr line
+            last = (proc.stderr.decode(errors="replace").splitlines() or ["no stderr"])[-1]
+            yield False, f"starsearch {' '.join(args)} exited {proc.returncode}: {last}"
+            return
+        outputs.append(proc.stdout)
+    sim_same, solve_same = outputs[0] == outputs[1], outputs[2] == outputs[3]
     yield sim_same and solve_same, (
         f"simulate identical: {sim_same}; solve identical: {solve_same}"
     )

@@ -263,12 +263,22 @@ def _sampler(name: str, q_lo: float, q_hi: float, steps: int, kernel):
     """sample(start, stop, arrays): the CurveSamples of kernel(q, xp) at
     points i = start to stop - 1 of the grid q_lo (1 - i/last) + q_hi i/last,
     last = steps - 1, by default all of them. With arrays the kernel runs
-    once on a numpy array, else point by point with xp=math; the two can
-    differ in the last bit, as numpy's and math's exp/log1p/expm1 do. More
-    than 2**53 + 1 points raise ValueError before any is built, so on the
-    whole grids sampled on arrays numpy divides i by last as Python does. An
-    array grid is checked on the arrays; only a faulty one walks CurveSamples."""
+    once on a numpy array, in sample.grid(start, stop), which returns the
+    arrays (qs, ys) to a caller that needs no pairs; else point by point
+    with xp=math. The two can differ in the last bit, as numpy's and math's
+    exp/log1p/expm1 do. More than 2**53 + 1 points raise ValueError before
+    any is built, so on the whole grids sampled on arrays numpy divides i by
+    last as Python does. An array grid is checked on the arrays; only a
+    faulty one walks CurveSamples."""
     last = steps - 1
+
+    def grid(start: int = 0, stop: int = steps):
+        import numpy as np
+
+        t = np.arange(start, stop) / last
+        qs = q_lo * (1.0 - t) + q_hi * t
+        with np.errstate(all="ignore"):
+            return qs, kernel(qs, np)
 
     def sample(start: int = 0, stop: int = steps, arrays: bool = True) -> CurveSamples:
         if stop - start > 2**53 + 1:
@@ -278,15 +288,13 @@ def _sampler(name: str, q_lo: float, q_hi: float, steps: int, kernel):
             return CurveSamples("q", name, tuple(zip(qs, [kernel(q, math) for q in qs])))
         import numpy as np
 
-        t = np.arange(start, stop) / last
-        qs = q_lo * (1.0 - t) + q_hi * t
-        with np.errstate(all="ignore"):
-            ys = kernel(qs, np)
+        qs, ys = grid(start, stop)
         points = tuple(zip(qs.tolist(), ys.tolist()))
         if np.isfinite(ys).all() and (qs[1:] > qs[:-1]).all():
             return _prechecked("q", name, points)
         return CurveSamples("q", name, points)
 
+    sample.grid = grid
     return sample
 
 

@@ -48,8 +48,10 @@ spreads the rounds over the dyadic blocks of 1..MAX_TURNS, one per set bit
 of MAX_TURNS, and one vector of binomials counts each bit's set rounds.
 
 Determinism: a call draws from one counter-based Philox stream keyed by the
-seed, in the order above, so a config's report is bit-identical on every
-run.
+seed, in the order above, and sums the products of its tallies with
+math.fsum, which is correctly rounded in any order, where a BLAS dot product
+would split them across threads as the host's CPU count and model decide. So
+a config's report is bit-identical on every run.
 """
 
 from __future__ import annotations
@@ -282,15 +284,16 @@ def _sample_branch(
         bit_values = np.ldexp(1.0, range(len(_BIT_BLOCKS)))
         kept = np.exp(bit_values * log_s)  # s^(2^j)
         bits = rng.binomial(np.cumsum(in_block)[list(_BIT_BLOCKS)], kept / (1.0 + kept))
-        turn_total = finished + float(in_block @ offsets) + float(bits @ bit_values)
+        turn_total = (finished + math.fsum((in_block * offsets).tolist())
+                      + math.fsum((bits * bit_values).tolist()))
     focal_in = int(rng.binomial(finished, min(focal_p / landing, 1.0)))
     # Co-arriver counts of the focal-in rounds, tallied by count: their law
     # is that of focal_in independent Binomial(n - 1, o) draws, at a cost
     # that does not grow with the rounds.
     shares, chances = _coarrival_law(other_p, n)
     tally = rng.multinomial(focal_in, chances).astype(float)
-    share_total = float(tally @ shares)
-    share_sq = float(tally @ (shares * shares))
+    share_total = math.fsum((tally * shares).tolist())
+    share_sq = math.fsum((tally * (shares * shares)).tolist())
     return share_total, share_sq, turn_total, finished
 
 

@@ -1,9 +1,14 @@
-"""The harness behind the acceptance criteria: registration, running, budgets."""
+"""The harness behind the acceptance criteria: registration, running, budgets,
+and the faults that criteria 9 and 10 must report as failures."""
+
+import subprocess
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from starsearch import acceptance
+from starsearch import acceptance, equilibrium
+from starsearch.equilibrium import residual_curve
 
 
 def test_criteria_registered_in_order():
@@ -77,3 +82,74 @@ def test_sign_changes_count_as_the_python_loop_did(values):
     count = acceptance._sign_changes(np.array(values, dtype=float))
     assert count == _python_sign_changes(values)
     assert isinstance(count, int)
+
+
+def test_criterion_9_reads_the_residual_curves_points(monkeypatch):
+    grids = []  # the arguments and arrays of each grid criterion 9 reads
+    real = acceptance._residual_sampler
+
+    def recording(*args):
+        sample = real(*args)
+
+        def grid():
+            grids.append((args, sample.grid()))
+            return grids[-1][1]
+
+        return SimpleNamespace(grid=grid)
+
+    monkeypatch.setattr(acceptance, "_residual_sampler", recording)
+    result = acceptance.criterion_9()
+    assert result.passed
+    assert len(grids) == 200
+    for i in np.random.default_rng(9).choice(len(grids), 20, replace=False):
+        args, (xs, ys) = grids[i]
+        assert args[3] == 2000
+        points = np.array(residual_curve(*args).points)
+        assert np.array_equal(np.stack([xs, ys], axis=1).view(np.int64),
+                              points.view(np.int64))
+
+
+def test_criterion_9_fails_grids_with_two_sign_changes(monkeypatch):
+    real = equilibrium._residual
+
+    def flipped(k, p, q, landing):
+        values = real(k, p, q, landing)
+        if isinstance(values, np.ndarray):  # a grid, not a scalar solve
+            values = values.copy()
+            values[-20:] *= -1.0
+        return values
+
+    monkeypatch.setattr(equilibrium, "_residual", flipped)
+    result = acceptance.criterion_9()
+    assert result.passed is False
+    assert result.detail == "200 of 200 grids failed the single-crossing check"
+
+
+def test_criterion_9_fails_a_crossing_two_spacings_from_q_bar(monkeypatch):
+    real = acceptance.solve_equilibrium
+
+    def shifted(params):
+        solution = real(params)
+        spacing = (1.0 - 1e-6 - (1.0 / (params.k + 1) + 1e-6)) / 1999
+        return solution._replace(q_bar=solution.q_bar + 2 * spacing)
+
+    monkeypatch.setattr(acceptance, "solve_equilibrium", shifted)
+    result = acceptance.criterion_9()
+    assert result.passed is False
+    assert result.detail == "200 of 200 grids failed the single-crossing check"
+
+
+def test_criterion_10_fails_on_a_failing_child(monkeypatch):
+    def failing(argv, check=False, **kwargs):
+        if check:
+            raise subprocess.CalledProcessError(3, argv)
+        return subprocess.CompletedProcess(
+            argv, 3, b"", b"Traceback (most recent call last):\nRuntimeError: boom\n")
+
+    monkeypatch.setattr(acceptance.subprocess, "run", failing)
+    result = acceptance.criterion_10()
+    assert result.passed is False
+    assert result.detail == (
+        "starsearch simulate --n 2 --k 1 --p 0.6667 --q 0.7 --rounds 100000"
+        " --seed 42 exited 3: RuntimeError: boom"
+    )

@@ -418,6 +418,47 @@ class TestEstimatePayoff:
         assert report.capped_rounds == 0
         assert abs(report.focal_mean_payoff - exact) < 4 * report.focal_std_error
 
+    def test_share_sums_are_correctly_rounded(self):
+        # BLAS splits a dot product of more than about 10,000 terms across
+        # threads, in an order set by the host; the share sums are the
+        # correctly rounded sums of the products, whatever the host.
+        n, other_p = 10**5, 0.3
+        tallies = []
+
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def multinomial(self, *args):
+                tallies.append(self.rng.multinomial(*args))
+                return tallies[-1]
+
+        rng = Recording(np.random.Generator(np.random.Philox(key=49)))
+        share, share_sq, _, _ = _sample_branch(rng, 10**5, 0.3, other_p, n)
+        shares = _coarrival_law(other_p, n)[0].tolist()
+        tally = tallies[-1].tolist()  # the co-arriver tally is the last draw
+        assert len(shares) > 10_000
+        assert share == math.fsum(t * s for t, s in zip(tally, shares))
+        assert share_sq == math.fsum(t * (s * s) for t, s in zip(tally, shares))
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs two CPUs",
+    )
+    def test_report_does_not_depend_on_the_blas_thread_count(self):
+        argv = [sys.executable, "-m", "starsearch", "simulate", "--n", "100000",
+                "--k", "3", "--p", "0.5", "--q", "0.3", "--rounds", "100000",
+                "--seed", "1"]
+        outputs = {
+            subprocess.run(argv, capture_output=True, check=True,
+                           env={**CHILD_ENV, "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")
+        }
+        assert len(outputs) == 1
+
 
 class TestSamplerAgainstTurnByTurnOracle:
     """estimate_payoff skips turns; simulate_round steps them. Both must
