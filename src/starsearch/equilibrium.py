@@ -53,6 +53,7 @@ __all__ = [
 # flips the sign function's sign. _FREE_STEPS is the steps a solve may
 # spend beyond plain bisection's count (see _solve).
 _GRID_BITS = 10
+_CELL_ULPS = 2.0**_GRID_BITS
 _FREE_STEPS = 12
 
 # The library's sweeps solve batches of at least this many points as numpy
@@ -115,11 +116,14 @@ def solve_equilibrium(params: GameParams) -> EquilibriumSolution:
 
     Bit patterns of positive doubles are ordered like their values; grid
     point j is the double whose bit pattern is j * 2**_GRID_BITS, so cells
-    are 1,024 ulps wide at every scale. q_bar = bracket_hi is the first grid
-    point where the sign function is positive and bracket_lo the one below
-    it, so the float sign function's root lies in (lo, hi]; in about 2 of
-    100,000 games rounding flips its sign next to the exact root, which then
-    lies one cell lower, or one cell higher as at (5, 55077, 0.6). The sign
+    are c = 1,024 ulps wide at every scale. p's cell is found exactly, with
+    no bit cast: it runs from p - fmod(p, c), as p and fmod(p, c) are
+    multiples of ulp(p), to that plus c, a power of two at a binade's top
+    (and a subnormal's bits are its mantissa). q_bar = bracket_hi is the
+    first grid point where the sign function is positive and bracket_lo the
+    one below it, so the float sign function's root lies in (lo, hi]; in
+    about 2 of 100,000 games rounding flips its sign next to the exact root,
+    which then lies one cell lower, or higher as at (5, 55077, 0.6). The sign
     function is _excess, the reliability map's excess over p scaled to keep
     clear of underflow. The initial bracket runs from p's grid point at or
     below p to 1.0, and neither end's sign is evaluated: the paper's theorem
@@ -145,10 +149,9 @@ def solve_equilibrium(params: GameParams) -> EquilibriumSolution:
     iterations, lo, hi, landing = _solve(n, k, p)
     if landing is None:
         landing = _landing(n, k, hi)
-    return EquilibriumSolution(
+    return tuple.__new__(EquilibriumSolution, (
         hi, abs(_reliability(n, hi, landing) - p), abs(_residual(k, p, hi, landing)),
-        iterations, lo, hi,
-    )
+        iterations, lo, hi))
 
 
 def _solve(n: int, k: int, p: float):
@@ -157,18 +160,17 @@ def _solve(n: int, k: int, p: float):
     caller has validated. A probe falls back to the midpoint where the
     bracket is wider than the deadline, 2**(L + _FREE_STEPS - 2) after the
     first probe and halved at each, or the Newton target is not in (0, 2)."""
-    jl = _index(p)
-    lo = _point(jl)
-    if _TOP - jl <= 1:
+    cell = math.ulp(p) * _CELL_ULPS
+    lo = p - math.fmod(p, cell)
+    x = lo + cell
+    if x >= 1.0:
         return 0, lo, 1.0, None
-    jl += 1
-    x = _point(jl)
     probed = _landing(n, k, x)
     e = _excess(n, k, p, x, probed)
     if e > 0.0:
         return 1, lo, x, probed
-    deadline = 1 << ((_TOP - jl + 1).bit_length() + _FREE_STEPS - 2)
-    jh, lo, hi, landing, iterations = _TOP, x, 1.0, None, 1
+    jl, jh, lo, hi, landing, iterations = _index(x), _TOP, x, 1.0, None, 1
+    deadline = 1 << ((jh - jl + 1).bit_length() + _FREE_STEPS - 2)
     while jh - jl > 1:
         t = _newton(n, k, p, x, probed, e)
         if jh - jl > deadline or not 0.0 < t < 2.0:
@@ -202,11 +204,9 @@ def _index(x, xp=math):
 _TOP = _index(1.0)  # the grid index of 1.0, every bracket's upper end
 
 
-def _point(j, xp=math):
-    """The grid point of index j; with xp=numpy, j is an int64 array."""
-    if xp is math:
-        return _DOUBLE.unpack(_INT64.pack(j << _GRID_BITS))[0]
-    return (j << _GRID_BITS).view(xp.float64)
+def _point(j, np):
+    """The grid points of the int64 array of indices j."""
+    return (j << _GRID_BITS).view(np.float64)
 
 
 def _q_bars(

@@ -502,6 +502,55 @@ class TestBracketEnds:
                     assert_exact_bracket(n, k, p, solution)
 
 
+class TestFirstCell:
+    """The solve finds p's grid cell by arithmetic, p - fmod(p, 1024 ulp(p))
+    and that plus the cell; struct's bit patterns are the reference."""
+
+    TOP = bits(1.0) // CELL
+
+    @staticmethod
+    def inputs():
+        below_half = double(bits(0.5) - CELL)
+        named = [5e-324, 2**-1022, 0.5, below_half, 2**-30, double(bits(2**-30) - CELL),
+                 1 - 2**-53, 1 - 2**-43, double(bits(1.0) - 2 * CELL)]
+        rng = np.random.default_rng(31)
+        uniform = rng.random(50_000)
+        log_uniform = 10.0 ** rng.uniform(-320.0, 0.0, 50_000)
+        return named + [p for p in np.concatenate([uniform, log_uniform]).tolist() if p > 0.0]
+
+    def test_first_cell_equals_the_bit_pattern_grid(self, monkeypatch):
+        # With every sign positive, _solve returns after its first probe:
+        # (1, lo, x, ...), or (0, lo, 1.0, None) where x would be 1.0 or more.
+        monkeypatch.setattr(equilibrium, "_landing", lambda *args: None)
+        monkeypatch.setattr(equilibrium, "_excess", lambda *args: 1.0)
+        top_cells = 0
+        for p in self.inputs():
+            j = bits(p) // CELL
+            iterations, lo, hi, _ = equilibrium._solve(2, 1, p)
+            assert (lo, hi) == (double(j * CELL), double((j + 1) * CELL)), p
+            assert (iterations == 0) == (self.TOP - j <= 1), p
+            top_cells += iterations == 0
+        assert top_cells == 2  # 1 - 2**-53 and 1 - 2**-43
+
+    def test_solves_start_on_the_bit_pattern_grid(self):
+        seen = {0: 0, 1: 0, "more": 0}
+        rng = np.random.default_rng(32)
+        for p in self.inputs():
+            if p <= 2e-308:  # no valid k: the floor 1/(k+1) would pass the doubles
+                continue
+            n = int(10 ** rng.uniform(0.31, 6.0))
+            solution = solve_equilibrium(GameParams(n, int(2 / p) + 1, p))
+            j = bits(p) // CELL
+            if solution.iterations <= 1:
+                assert solution.bracket_lo == double(j * CELL), p
+                assert solution.q_bar == double((j + 1) * CELL), p
+                seen[solution.iterations] += 1
+            else:
+                assert solution.bracket_lo >= double((j + 1) * CELL), p
+                seen["more"] += 1
+        assert min(seen.values()) > 0, seen
+
+
 class TestCurveSamples:
     def test_strictly_increasing_abscissa_required(self):
         with pytest.raises(ValueError, match="strictly increasing"):
